@@ -94,46 +94,24 @@ def plurality_matching_rule(profile: OrdinalProfile) -> int:
     wins if the voters can be matched one-to-one onto the slots so that each
     voter i takes a slot labeled t only when i weakly prefers a to t (a
     appears no later than t in i's ranking). Scanning ids in ascending order
-    makes the rule deterministic. A winner always exists; the top choice of
-    any single voter trivially matches that voter's own slot pool when all
-    else fails, so exhausting all candidates indicates a bug.
+    makes the rule deterministic. A winner always exists by the existence
+    theorem of Gkatzelis, Halpern and Shah (FOCS 2020), which Plurality Veto
+    (Kizilkaya and Kempe, IJCAI 2022) also proves constructively, so
+    exhausting all candidates indicates a bug.
     """
     if profile.num_voters == 0:
         raise EmptyVoterSet("plurality matching needs at least one voter")
-    cands = profile.candidates()
-    local_rankings = np.searchsorted(cands, profile.rankings)
-    winner_local = _plurality_matching_core(local_rankings)
-    return int(cands[winner_local])
+    rows = profile.rankings.tolist()
+    capacity: dict[int, int] = {}
+    for row in rows:
+        capacity[row[0]] = capacity.get(row[0], 0) + 1
 
-
-def _plurality_matching_core(rankings: np.ndarray) -> int:
-    """Matching scan over local candidate indices 0..c-1."""
-    v, c = rankings.shape
-    rank_of = np.empty((v, c), dtype=np.int64)
-    np.put_along_axis(rank_of, rankings,
-                      np.broadcast_to(np.arange(c), (v, c)).copy(), axis=1)
-    tops = rankings[:, 0]
-    capacity = np.bincount(tops, minlength=c)
-    open_class = capacity > 0
-    for a in range(c):
-        accept = (rank_of >= rank_of[:, a:a + 1]) & open_class[None, :]
-        accept_ids = [np.flatnonzero(accept[i]) for i in range(v)]
-        if all(ids.size for ids in accept_ids) and \
-                _saturating_matching_exists(accept_ids, capacity, v, c):
-            return a
-    raise InternalNoWinner("no alternative admitted a perfect matching")
-
-
-def _saturating_matching_exists(accept_ids: list[np.ndarray],
-                                capacity: np.ndarray, v: int, c: int) -> bool:
-    """Augmenting-path matching of v voters into capacitated top classes."""
-    owners: list[list[int]] = [[] for _ in range(c)]
-
-    def try_place(i: int, seen: list[bool]) -> bool:
-        for t in accept_ids[i]:
-            if seen[t]:
+    def try_place(i: int, seen: set[int]) -> bool:
+        # augmenting path from voter i through the capacitated top classes
+        for t in accept[i]:
+            if t in seen:
                 continue
-            seen[t] = True
+            seen.add(t)
             if len(owners[t]) < capacity[t]:
                 owners[t].append(i)
                 return True
@@ -143,7 +121,16 @@ def _saturating_matching_exists(accept_ids: list[np.ndarray],
                     return True
         return False
 
-    return all(try_place(i, [False] * c) for i in range(v))
+    for a in sorted(rows[0]):
+        # voter i accepts the open classes it ranks no higher than a
+        accept = [[t for t in row[row.index(a):] if t in capacity]
+                  for row in rows]
+        if not all(accept):
+            continue
+        owners: dict[int, list[int]] = {t: [] for t in capacity}
+        if all(try_place(i, set()) for i in range(len(rows))):
+            return a
+    raise InternalNoWinner("no alternative admitted a perfect matching")
 
 
 # ---------------------------------------------------------------------------

@@ -60,8 +60,13 @@ def euclidean_instances(draw, max_agents: int = 8, max_alternatives: int = 4,
 
 @st.composite
 def ranking_profiles(draw, max_voters: int = 7, max_candidates: int = 5):
-    """A profile of full rankings (one permutation row per voter)."""
+    """A profile of full rankings (one permutation row per voter).
+
+    Rows are drawn from a pool of 1..n permutations, so profiles with few
+    distinct rankings, and hence few distinct tops, come up often.
+    """
     n = draw(st.integers(1, max_voters))
     m = draw(st.integers(1, max_candidates))
-    rows = [draw(st.permutations(range(m))) for _ in range(n)]
+    pool = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=n))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
     return dv.OrdinalProfile([list(r) for r in rows])

@@ -17,12 +17,11 @@ EXACT = 1e-12
 # independent slot-matching oracle (networkx maximum matching, slots expanded)
 # ---------------------------------------------------------------------------
 
-def matching_winner_oracle(rankings) -> int:
-    """Brute-force reimplementation of the matching-based winner.
+def admits_matching(rankings, a: int) -> bool:
+    """Whether every voter can occupy a distinct top-choice slot it accepts.
 
-    Alternative a wins if every voter can occupy a distinct top-choice slot
-    (slot t replicated once per voter whose favorite is t) among the slots
-    the voter ranks no higher than a. Candidates scan in ascending id order.
+    Slot t is replicated once per voter whose favorite is t; voter i accepts
+    the slots it ranks no higher than a.
     """
     rankings = np.asarray(rankings)
     n, m = rankings.shape
@@ -30,22 +29,51 @@ def matching_winner_oracle(rankings) -> int:
     for i in range(n):
         rank_of[i, rankings[i]] = np.arange(m)
     capacity = np.bincount(rankings[:, 0], minlength=m)
-    for a in range(m):
-        graph = nx.Graph()
-        voters = [("v", i) for i in range(n)]
-        graph.add_nodes_from(voters)
+    graph = nx.Graph()
+    voters = [("v", i) for i in range(n)]
+    graph.add_nodes_from(voters)
+    for t in range(m):
+        for c in range(capacity[t]):
+            graph.add_node(("s", t, c))
+    for i in range(n):
         for t in range(m):
-            for c in range(capacity[t]):
-                graph.add_node(("s", t, c))
-        for i in range(n):
-            for t in range(m):
-                if capacity[t] > 0 and rank_of[i, a] <= rank_of[i, t]:
-                    for c in range(capacity[t]):
-                        graph.add_edge(("v", i), ("s", t, c))
-        matching = nx.bipartite.maximum_matching(graph, top_nodes=voters)
-        if sum(1 for node in matching if node[0] == "v") == n:
+            if capacity[t] > 0 and rank_of[i, a] <= rank_of[i, t]:
+                for c in range(capacity[t]):
+                    graph.add_edge(("v", i), ("s", t, c))
+    matching = nx.bipartite.maximum_matching(graph, top_nodes=voters)
+    return sum(1 for node in matching if node[0] == "v") == n
+
+
+def matching_winner_oracle(rankings) -> int:
+    """Brute-force reimplementation of the matching-based winner.
+
+    Candidates scan in ascending id order; the first admitting a matching wins.
+    """
+    for a in range(np.shape(rankings)[1]):
+        if admits_matching(rankings, a):
             return a
     raise AssertionError("no alternative admits a saturating matching")
+
+
+def plurality_veto_winner(rankings) -> int:
+    """Plurality Veto (Kizilkaya and Kempe, IJCAI 2022).
+
+    Each alternative starts with its plurality score. Voters in row order
+    veto (decrement) their least-preferred alternative whose score is still
+    positive; the alternative vetoed last wins.
+    """
+    rankings = np.asarray(rankings)
+    score = np.bincount(rankings[:, 0], minlength=rankings.shape[1])
+    for row in rankings:
+        vetoed = next(int(t) for t in row[::-1] if score[t] > 0)
+        score[vetoed] -= 1
+    return vetoed
+
+
+# rows drawn up to the sizes a euclidean sweep hands the rule (dozens of
+# voters, up to 12 classes), next to the small default profiles
+PROFILES = st.one_of(ranking_profiles(),
+                     ranking_profiles(max_voters=40, max_candidates=12))
 
 
 def test_matching_rule_three_voter_example():
@@ -89,10 +117,20 @@ def test_matching_rule_empty_profile():
 
 
 @settings(max_examples=300, deadline=None)
-@given(ranking_profiles())
+@given(PROFILES)
 def test_matching_rule_agrees_with_oracle(profile):
     assert (dv.plurality_matching_rule(profile)
             == matching_winner_oracle(profile.rankings))
+
+
+@settings(max_examples=300, deadline=None)
+@given(PROFILES)
+def test_matching_rule_bounded_by_plurality_veto(profile):
+    # the PV winner always admits a matching, so the lowest-id scan stops
+    # at or before it
+    veto = plurality_veto_winner(profile.rankings)
+    assert admits_matching(profile.rankings, veto)
+    assert dv.plurality_matching_rule(profile) <= veto
 
 
 @settings(max_examples=120, deadline=None)
