@@ -58,9 +58,15 @@ from .rules import (
 ALL_ALTERNATIVES = "all-alternatives"
 REPRESENTATIVES_ONLY = "representatives-only"
 
-#: Slack added to the acceptance threshold so alternatives sitting exactly on
-#: the boundary (up to floating point noise) count as acceptable.
+#: Relative slack on the acceptance threshold so alternatives sitting exactly
+#: on the boundary (up to floating point noise) count as acceptable at any
+#: coordinate scale.
 ACCEPT_SLACK = 1e-12
+
+
+def _acceptable(values: np.ndarray, lam: float) -> np.ndarray:
+    """Indices of the values within a factor ``lam`` of the smallest."""
+    return np.flatnonzero(values <= lam * values.min() * (1 + ACCEPT_SLACK))
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +173,7 @@ class ThresholdSelectRule:
         if positions is None:
             raise NotLineMetric("threshold rule needs line positions")
         values = self.inner.over_columns(dist)
-        acceptable = np.flatnonzero(values <= self.lam * values.min() + ACCEPT_SLACK)
+        acceptable = _acceptable(values, self.lam)
         pos = positions[acceptable]
         rightmost = acceptable[np.flatnonzero(pos == pos.max())[0]]
         return int(candidates[rightmost])
@@ -325,15 +331,14 @@ def arbitrary_dictator() -> Mechanism:
 def lambda_acceptable_set(instance: Instance, district: int,
                           inner: InnerObjective, lam: float) -> tuple[int, ...]:
     """Alternatives whose inner cost for the district is within a factor
-    ``lam`` of the district optimum (ascending ids; slack 1e-12)."""
+    ``lam`` of the district optimum (ascending ids; relative slack 1e-12)."""
     if lam < 1:
         raise LambdaBelowOne(f"threshold {lam} must be >= 1")
     if not (0 <= district < instance.num_districts):
         raise IndexOutOfRange(f"district {district} out of range")
     members = instance.district_arrays()[district]
     values = inner.over_columns(instance.agent_alt[members])
-    keep = np.flatnonzero(values <= lam * values.min() + ACCEPT_SLACK)
-    return tuple(int(a) for a in keep)
+    return tuple(int(a) for a in _acceptable(values, lam))
 
 
 #: Fixed line configurations used to probe single-peakedness of custom inners.

@@ -47,7 +47,9 @@ class InnerObjective:
     ``kind`` is ``avg``, ``max`` or ``custom``. Custom aggregators supply
     ``fn`` (vector -> float), may declare the cost-like properties they
     satisfy, and may supply ``columns_fn`` (matrix -> per-column values) to
-    speed up batch evaluation.
+    speed up batch evaluation. ``columns_fn`` must compute the same function
+    as ``fn`` on every column: mechanisms, ``cost_vector`` and the property
+    checks all evaluate through ``over_columns``.
     """
 
     kind: str
@@ -213,17 +215,44 @@ def _floats(values: np.ndarray) -> tuple[float, ...]:
     return tuple(float(x) for x in values)
 
 
+#: Samples drawn and evaluated together; bounds the memory a check holds.
+_BLOCK = 1024
+
+
+def _blocks(samples: int):
+    """Sizes of the successive blocks that make up ``samples`` draws."""
+    for start in range(0, samples, _BLOCK):
+        yield min(_BLOCK, samples - start)
+
+
+def _row_values(g: InnerObjective, mat: np.ndarray,
+                lengths: np.ndarray) -> np.ndarray:
+    """g of the first ``lengths[i]`` entries of each row i of ``mat``.
+
+    Rows of one length go through ``over_columns`` together.
+    """
+    out = np.empty(mat.shape[0])
+    for length in np.unique(lengths):
+        rows = lengths == length
+        out[rows] = g.over_columns(mat[rows, :length].T)
+    return out
+
+
 def check_monotone(g: InnerObjective, samples: int = DEFAULT_SAMPLES,
                    dims: int = 8, seed: int = 0) -> PropertyCheckResult:
     """g(v) <= g(u) whenever v <= u coordinatewise (sampled)."""
     rng = _check_rng(seed)
-    for _ in range(samples):
-        length = int(rng.integers(1, dims + 1))
-        v = rng.uniform(0.0, 10.0, length)
-        u = v + rng.uniform(0.0, 5.0, length)
-        if g.value(v) > g.value(u) + EXACT_TOL:
+    for block in _blocks(samples):
+        lengths = rng.integers(1, dims + 1, block)
+        v = rng.uniform(0.0, 10.0, (block, dims))
+        u = v + rng.uniform(0.0, 5.0, (block, dims))
+        bad = np.flatnonzero(_row_values(g, v, lengths)
+                             > _row_values(g, u, lengths) + EXACT_TOL)
+        if bad.size:
+            i = bad[0]
+            n = lengths[i]
             return PropertyCheckResult(MONOTONE, False, samples,
-                                       (_floats(v), _floats(u)))
+                                       (_floats(v[i, :n]), _floats(u[i, :n])))
     return PropertyCheckResult(MONOTONE, True, samples)
 
 
@@ -231,17 +260,22 @@ def check_subadditive(g: InnerObjective, samples: int = DEFAULT_SAMPLES,
                       dims: int = 8, seed: int = 0) -> PropertyCheckResult:
     """g(v + u) <= g(v) + g(u), and g(c v) <= c g(v) for sampled c >= 1."""
     rng = _check_rng(seed)
-    for _ in range(samples):
-        length = int(rng.integers(1, dims + 1))
-        v = rng.uniform(0.0, 10.0, length)
-        u = rng.uniform(0.0, 10.0, length)
-        if g.value(v + u) > g.value(v) + g.value(u) + EXACT_TOL:
-            return PropertyCheckResult(SUBADDITIVE, False, samples,
-                                       (_floats(v), _floats(u)))
-        c = float(rng.uniform(1.0, 5.0))
-        if g.value(c * v) > c * g.value(v) + EXACT_TOL:
-            return PropertyCheckResult(SUBADDITIVE, False, samples,
-                                       (c, _floats(v)))
+    for block in _blocks(samples):
+        lengths = rng.integers(1, dims + 1, block)
+        v = rng.uniform(0.0, 10.0, (block, dims))
+        u = rng.uniform(0.0, 10.0, (block, dims))
+        c = rng.uniform(1.0, 5.0, block)
+        gv = _row_values(g, v, lengths)
+        additive = (_row_values(g, v + u, lengths)
+                    > gv + _row_values(g, u, lengths) + EXACT_TOL)
+        scaling = _row_values(g, c[:, None] * v, lengths) > c * gv + EXACT_TOL
+        bad = np.flatnonzero(additive | scaling)
+        if bad.size:
+            i = bad[0]
+            n = lengths[i]
+            witness = ((_floats(v[i, :n]), _floats(u[i, :n])) if additive[i]
+                       else (float(c[i]), _floats(v[i, :n])))
+            return PropertyCheckResult(SUBADDITIVE, False, samples, witness)
     return PropertyCheckResult(SUBADDITIVE, True, samples)
 
 
@@ -249,13 +283,15 @@ def check_consistent(g: InnerObjective, samples: int = DEFAULT_SAMPLES,
                      dims: int = 8, seed: int = 0) -> PropertyCheckResult:
     """g of a constant vector (c, ..., c) equals c."""
     rng = _check_rng(seed)
-    for _ in range(samples):
-        length = int(rng.integers(1, dims + 1))
-        c = float(rng.uniform(0.0, 10.0))
-        got = g.value(np.full(length, c))
-        if abs(got - c) > EXACT_TOL:
+    for block in _blocks(samples):
+        lengths = rng.integers(1, dims + 1, block)
+        c = rng.uniform(0.0, 10.0, block)
+        got = _row_values(g, np.repeat(c[:, None], dims, axis=1), lengths)
+        bad = np.flatnonzero(np.abs(got - c) > EXACT_TOL)
+        if bad.size:
+            i = bad[0]
             return PropertyCheckResult(CONSISTENT, False, samples,
-                                       (c, length, got))
+                                       (float(c[i]), int(lengths[i]), float(got[i])))
     return PropertyCheckResult(CONSISTENT, True, samples)
 
 
@@ -288,19 +324,17 @@ def check_single_peaked(g: InnerObjective, instance: Instance,
     else:
         grid = np.array([lo])
     grid = np.unique(np.concatenate([grid, all_points]))
-    values = np.array([g.value(np.abs(x - agent_pos)) for x in grid])
+    values = g.over_columns(np.abs(grid[None, :] - agent_pos[:, None]))
     imin = int(np.argmin(values))
     # left of the minimum: non-increasing; right of it: non-decreasing
-    for i in range(imin):
-        if values[i + 1] > values[i] + USER_TOL:
-            return PropertyCheckResult(SINGLE_PEAKED, False, grid.size,
-                                       (float(grid[i]), float(grid[i + 1]),
-                                        float(grid[imin])))
-    for i in range(imin, grid.size - 1):
-        if values[i + 1] < values[i] - USER_TOL:
-            return PropertyCheckResult(SINGLE_PEAKED, False, grid.size,
-                                       (float(grid[i]), float(grid[i + 1]),
-                                        float(grid[imin])))
+    rises = values[1:imin + 1] > values[:imin] + USER_TOL
+    falls = values[imin + 1:] < values[imin:-1] - USER_TOL
+    bad = np.concatenate([np.flatnonzero(rises), imin + np.flatnonzero(falls)])
+    if bad.size:
+        i = bad[0]
+        return PropertyCheckResult(SINGLE_PEAKED, False, grid.size,
+                                   (float(grid[i]), float(grid[i + 1]),
+                                    float(grid[imin])))
     return PropertyCheckResult(SINGLE_PEAKED, True, grid.size)
 
 

@@ -156,6 +156,30 @@ def test_lambda_acceptable_set_boundary_slack():
     assert dv.lambda_acceptable_set(inst, 0, dv.AVG, 1.0 + SQ2) == (0, 1)
 
 
+def test_lambda_acceptable_set_slack_is_relative():
+    # the same geometry shrunk by 1e-12: the slack must not grow with it
+    inst = dv.build_line_instance([[0.0, 4e-12]], [0.0, 5e-12, 10e-12])
+    assert dv.lambda_acceptable_set(inst, 0, dv.AVG, 1.0) == (0,)
+    assert dv.lambda_acceptable_set(inst, 0, dv.AVG, 1.5) == (0, 1)
+    tiny = dv.build_line_instance([[2e-12 - SQ2 * 1e-12]], [0.0, 2e-12])
+    assert dv.lambda_acceptable_set(tiny, 0, dv.AVG, 1.0 + SQ2) == (0, 1)
+
+
+@pytest.mark.parametrize("spec,obj_spec", [
+    ("arl:2.414213562373095", "max.max"),
+    ("arl:4", "max.avg"),
+    ("arl:1", "max.max"),
+])
+def test_threshold_bound_holds_at_tiny_scale(spec, obj_spec):
+    # positions in [0, 1e-11]: an absolute acceptance slack swamped the
+    # costs here and pushed arl:1+sqrt(2) on max.max to 5.16
+    objective = dv.parse_objective(obj_spec)
+    mech = dv.parse_mechanism(spec, objective)
+    spec_gen = dv.GeneratorSpec(low=0.0, high=1e-11)
+    result = dv.sweep(mech, objective, generator=spec_gen, trials=3000, seed=0)
+    assert result.max_ratio <= dv.claimed_bound(mech, objective) + 1e-9
+
+
 def test_lambda_acceptable_set_errors(worked):
     with pytest.raises(dv.LambdaBelowOne):
         dv.lambda_acceptable_set(worked, 0, dv.AVG, 0.9)

@@ -8,7 +8,15 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import districtvote as dv
-from districtvote.objectives import AVG_AVG, AVG_MAX, MAX_AVG, MAX_MAX
+from districtvote.mechanisms import _PEAK_PROBES
+from districtvote.objectives import (
+    AVG_AVG,
+    AVG_MAX,
+    EXACT_TOL,
+    MAX_AVG,
+    MAX_MAX,
+    USER_TOL,
+)
 
 from .strategies import line_instances
 
@@ -203,3 +211,193 @@ def test_witnesses_are_plain_floats():
     v, u = result.witness
     assert all(type(x) is float for x in v)
     assert all(type(x) is float for x in u)
+
+
+# ---------------------------------------------------------------------------
+# batched checks against the per-sample reference
+# ---------------------------------------------------------------------------
+# The loops below are the checks as they were before sampling went in
+# blocks: one draw and one g.value call at a time. They stay here as the
+# independent oracle for the batched checks, which draw other vectors, so
+# only the verdicts are compared, never the witnesses.
+
+def reference_monotone(g, samples, dims=8, seed=0):
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    for _ in range(samples):
+        length = int(rng.integers(1, dims + 1))
+        v = rng.uniform(0.0, 10.0, length)
+        u = v + rng.uniform(0.0, 5.0, length)
+        if g.value(v) > g.value(u) + EXACT_TOL:
+            return False
+    return True
+
+
+def reference_subadditive(g, samples, dims=8, seed=0):
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    for _ in range(samples):
+        length = int(rng.integers(1, dims + 1))
+        v = rng.uniform(0.0, 10.0, length)
+        u = rng.uniform(0.0, 10.0, length)
+        if g.value(v + u) > g.value(v) + g.value(u) + EXACT_TOL:
+            return False
+        c = float(rng.uniform(1.0, 5.0))
+        if g.value(c * v) > c * g.value(v) + EXACT_TOL:
+            return False
+    return True
+
+
+def reference_consistent(g, samples, dims=8, seed=0):
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    for _ in range(samples):
+        length = int(rng.integers(1, dims + 1))
+        c = float(rng.uniform(0.0, 10.0))
+        if abs(g.value(np.full(length, c)) - c) > EXACT_TOL:
+            return False
+    return True
+
+
+def reference_single_peaked(g, instance, district):
+    members = instance.district_arrays()[district]
+    agent_pos = instance.agent_positions[members]
+    all_points = np.concatenate([instance.agent_positions,
+                                 instance.alternative_positions])
+    lo, hi = float(all_points.min()), float(all_points.max())
+    grid = np.arange(lo, hi, (hi - lo) * 1e-3) if hi > lo else np.array([lo])
+    grid = np.unique(np.concatenate([grid, all_points]))
+    values = np.array([g.value(np.abs(x - agent_pos)) for x in grid])
+    imin = int(np.argmin(values))
+    for i in range(imin):
+        if values[i + 1] > values[i] + USER_TOL:
+            return False
+    for i in range(imin, grid.size - 1):
+        if values[i + 1] < values[i] - USER_TOL:
+            return False
+    return True
+
+
+def _custom(name, fn):
+    return dv.InnerObjective(kind="custom", name=name, fn=fn)
+
+
+#: (aggregator, vector-space properties it fails)
+PANEL = [
+    (dv.AVG, set()),
+    (dv.MAX, set()),
+    (dv.power_mean(1), set()),
+    (dv.power_mean(1.5), set()),
+    (dv.power_mean(2), set()),
+    (dv.power_mean(3), set()),
+    (_custom("squared-sum", lambda v: float(np.sum(v)) ** 2),
+     {"subadditive", "consistent"}),
+    (_custom("negated-sum", lambda v: -float(np.sum(v))),
+     {"monotone", "consistent"}),
+    (_custom("nearest", lambda v: float(np.min(v))), {"subadditive"}),
+    (_custom("mean-plus", lambda v: float(np.mean(v)) + 0.1), {"consistent"}),
+    # sums v + u stay within 20, scaled vectors c v do not: fails scaling only
+    (_custom("jump-above-20",
+             lambda v: float(np.max(v)) * (1.0 if np.max(v) <= 20 else 10.0)),
+     {"subadditive"}),
+]
+PANEL_IDS = [g.spec for g, _ in PANEL]
+REFERENCES = {
+    "monotone": reference_monotone,
+    "subadditive": reference_subadditive,
+    "consistent": reference_consistent,
+}
+
+
+def assert_witness_violates(g, result):
+    """Re-evaluate a failure witness one vector at a time."""
+    if result.property_name == "monotone":
+        v, u = (np.array(x) for x in result.witness)
+        assert v.size == u.size and np.all(v <= u)
+        assert g.value(v) > g.value(u) + EXACT_TOL
+    elif result.property_name == "subadditive":
+        if isinstance(result.witness[0], float):
+            c, v = result.witness[0], np.array(result.witness[1])
+            assert 1.0 <= c <= 5.0
+            assert g.value(c * v) > c * g.value(v) + EXACT_TOL
+        else:
+            v, u = (np.array(x) for x in result.witness)
+            assert v.size == u.size
+            assert g.value(v + u) > g.value(v) + g.value(u) + EXACT_TOL
+    else:
+        c, length, got = result.witness
+        assert type(length) is int and 1 <= length <= 8
+        value = g.value(np.full(length, c))
+        assert abs(value - c) > EXACT_TOL
+        assert got == pytest.approx(value, rel=1e-12, abs=EXACT_TOL)
+
+
+@pytest.mark.parametrize("g,fails", PANEL, ids=PANEL_IDS)
+def test_batched_checks_agree_with_reference(g, fails):
+    # 2,000 samples: one full block of 1,024 and one partial block
+    for result in dv.run_property_checks(g, samples=2000, seed=5):
+        name = result.property_name
+        assert result.passed == REFERENCES[name](g, 2000, seed=5), name
+        assert result.passed == (name not in fails), name
+        assert result.samples == 2000
+        if result.passed:
+            assert result.witness is None
+        else:
+            assert_witness_violates(g, result)
+
+
+@pytest.mark.parametrize("g,fails", PANEL, ids=PANEL_IDS)
+def test_batched_single_peaked_agrees_with_reference(g, fails):
+    for agents, alts in _PEAK_PROBES:
+        probe = dv.build_line_instance(agents, alts)
+        result = dv.check_single_peaked(g, probe, 0)
+        assert result.passed == reference_single_peaked(g, probe, 0), agents
+        if not result.passed:
+            lo, hi, _ = result.witness
+            values = [g.value(np.abs(x - np.array(agents[0]))) for x in (lo, hi)]
+            assert abs(values[1] - values[0]) > USER_TOL
+
+
+def test_witness_is_first_counterexample_in_draw_order():
+    # rises by 100 on a narrow band of first coordinates, so a vector in the
+    # band beats its coordinatewise-larger partner only now and then
+    def fn(v):
+        return float(np.max(v)) + 100.0 * (9.99 < v[0] < 9.997)
+
+    g = _custom("banded-max", fn)
+    samples, block, dims, seed = 4000, 1024, 8, 3
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    first = None
+    for start in range(0, samples, block):
+        size = min(block, samples - start)
+        lengths = rng.integers(1, dims + 1, size)
+        v = rng.uniform(0.0, 10.0, (size, dims))
+        u = v + rng.uniform(0.0, 5.0, (size, dims))
+        for i in range(size):
+            n = lengths[i]
+            if g.value(v[i, :n]) > g.value(u[i, :n]) + EXACT_TOL:
+                first = (start + i, tuple(v[i, :n]), tuple(u[i, :n]))
+                break
+        if first is not None:
+            break
+    assert first is not None and first[0] >= block  # not in the first block
+    result = dv.check_monotone(g, samples=samples, seed=seed)
+    assert not result.passed
+    assert result.witness == first[1:]
+
+
+# ---------------------------------------------------------------------------
+# over_columns computes the same function as value
+# ---------------------------------------------------------------------------
+
+matrices = st.integers(1, 8).flatmap(lambda rows: st.lists(
+    st.lists(st.floats(0.0, 100.0, allow_nan=False), min_size=rows,
+             max_size=rows),
+    min_size=1, max_size=6)).map(lambda cols: np.array(cols).T)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices)
+def test_over_columns_matches_value(mat):
+    for g in (dv.AVG, dv.MAX, dv.power_mean(1), dv.power_mean(1.5),
+              dv.power_mean(2), dv.power_mean(3)):
+        by_column = [g.value(mat[:, c]) for c in range(mat.shape[1])]
+        assert np.allclose(g.over_columns(mat), by_column, rtol=0,
+                           atol=EXACT_TOL), g.spec
