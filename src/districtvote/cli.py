@@ -32,6 +32,7 @@ from .distortion import (
     evaluate,
     report_to_json,
     sweep,
+    sweep_cells,
     sweep_result_to_json,
 )
 from .errors import (
@@ -54,9 +55,7 @@ from .objectives import (
     run_property_checks,
 )
 from .rules import ORDINAL
-
-#: Tolerance for bound comparisons on sweep ratios.
-BOUND_TOL = 1e-9
+from .tolerances import BOUND_TOL
 
 _PARSE_ERRORS = (ConfigError, SchemaError, UnknownField, GeneratorError,
                  LambdaBelowOne, PropertyCheckFailed, TooLarge, ValueError,
@@ -285,41 +284,55 @@ def _family_applies(family_name: str, mechanism) -> bool:
 
 
 def run_verify_bounds(config: ExperimentConfig) -> list[VerifyRow]:
-    """Evaluate every configured sweep cell and family certification."""
+    """Evaluate every configured sweep cell and family certification.
+
+    The sweep cells share each trial's instance (``sweep_cells``); every
+    cell's row equals that of its own ``sweep``.
+    """
     rows: list[VerifyRow] = []
     out_dir = config.out_path
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     line_metric = config.generator.kind == "line"
 
-    cell_index = 0
-    for mech_spec in config.mechanisms:
-        for obj_spec in config.objectives:
-            objective = parse_objective(obj_spec)
-            mechanism = parse_mechanism(mech_spec, objective)
-            bound = config.bounds.get(f"{mech_spec}|{obj_spec}")
-            if bound is None:
-                bound = claimed_bound(mechanism, objective, line=line_metric)
-            if bound is None:
-                continue
-            result = sweep(mechanism, objective, config.generator,
-                           trials=config.trials, seed=config.seed)
-            witness_path = ""
-            if out_dir:
-                witness_path = f"witness_{cell_index:03d}.json"
-                save_instance(result.witness, os.path.join(out_dir, witness_path))
-            rows.append(VerifyRow(
-                kind="sweep",
-                mechanism=mech_spec,
-                objective=obj_spec,
-                trials=result.evaluated,
-                max_ratio=result.max_ratio,
-                bound=float(bound),
-                within_bound=result.max_ratio <= bound + BOUND_TOL,
-                witness_path=witness_path,
-                seed=config.seed,
-            ))
-            cell_index += 1
+    cells, claims = [], []
+    parse_error = None
+    try:
+        for mech_spec in config.mechanisms:
+            for obj_spec in config.objectives:
+                objective = parse_objective(obj_spec)
+                mechanism = parse_mechanism(mech_spec, objective)
+                bound = config.bounds.get(f"{mech_spec}|{obj_spec}")
+                if bound is None:
+                    bound = claimed_bound(mechanism, objective, line=line_metric)
+                if bound is not None:
+                    cells.append((mechanism, objective))
+                    claims.append((mech_spec, obj_spec, float(bound)))
+    except _PARSE_ERRORS as exc:
+        # the cells before a bad spec still sweep first, so an error they
+        # raise (exit 3) is reported ahead of the bad spec (exit 2)
+        parse_error = exc
+    results = sweep_cells(cells, config.generator, trials=config.trials,
+                          seed=config.seed)
+    if parse_error is not None:
+        raise parse_error
+    for cell_index, ((mech_spec, obj_spec, bound), result) in enumerate(
+            zip(claims, results)):
+        witness_path = ""
+        if out_dir:
+            witness_path = f"witness_{cell_index:03d}.json"
+            save_instance(result.witness, os.path.join(out_dir, witness_path))
+        rows.append(VerifyRow(
+            kind="sweep",
+            mechanism=mech_spec,
+            objective=obj_spec,
+            trials=result.evaluated,
+            max_ratio=result.max_ratio,
+            bound=bound,
+            within_bound=result.max_ratio <= bound + BOUND_TOL,
+            witness_path=witness_path,
+            seed=config.seed,
+        ))
 
     for family_name in config.families:
         family = build_family(family_name, fib_index=config.fib_index,

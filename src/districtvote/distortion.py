@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -197,6 +198,38 @@ def sweep_result_from_json(data: dict) -> SweepResult:
     )
 
 
+def sweep_cells(cells: Sequence[tuple[Mechanism, ComposedObjective]],
+                generator: GeneratorSpec | None = None, trials: int = 1000,
+                seed: int = 0) -> list[SweepResult]:
+    """Sweep several (mechanism, objective) cells over the same random trials.
+
+    Trial i draws one instance from a generator seeded by the pair (seed, i)
+    and every cell evaluates that instance, so each cell's result equals a
+    sweep of that cell alone, while the draw, the build and the instance's
+    cached profile, line axis and district arrays are paid once per trial.
+    Each cell keeps its first worst instance in trial order.
+    """
+    spec = generator if generator is not None else GeneratorSpec()
+    spec.validate()
+    if trials < 1:
+        raise GeneratorError("a sweep needs at least one trial")
+    if seed < 0:
+        raise GeneratorError("seeds must be nonnegative")
+    if not cells:
+        return []
+    worst_ratios = [-math.inf] * len(cells)
+    witnesses: list[Instance | None] = [None] * len(cells)
+    for i in range(trials):
+        instance = random_instance(_trial_rng(seed, i), spec)
+        for c, (mechanism, objective) in enumerate(cells):
+            ratio = evaluate(mechanism, instance, objective).ratio
+            if ratio > worst_ratios[c]:
+                worst_ratios[c] = ratio
+                witnesses[c] = instance
+    return [SweepResult(ratio, witness, trials, seed)
+            for ratio, witness in zip(worst_ratios, witnesses)]
+
+
 def sweep(mechanism: Mechanism, objective: ComposedObjective,
           generator: GeneratorSpec | None = None, trials: int = 1000,
           seed: int = 0) -> SweepResult:
@@ -205,21 +238,7 @@ def sweep(mechanism: Mechanism, objective: ComposedObjective,
     Trial i uses a generator seeded by the pair (seed, i), so results are
     reproducible and insensitive to the order in which cells run.
     """
-    spec = generator if generator is not None else GeneratorSpec()
-    spec.validate()
-    if trials < 1:
-        raise GeneratorError("a sweep needs at least one trial")
-    if seed < 0:
-        raise GeneratorError("seeds must be nonnegative")
-    worst_ratio = -math.inf
-    worst: Instance | None = None
-    for i in range(trials):
-        instance = random_instance(_trial_rng(seed, i), spec)
-        report = evaluate(mechanism, instance, objective)
-        if report.ratio > worst_ratio:
-            worst_ratio = report.ratio
-            worst = instance
-    return SweepResult(worst_ratio, worst, trials, seed)
+    return sweep_cells([(mechanism, objective)], generator, trials, seed)[0]
 
 
 # ---------------------------------------------------------------------------

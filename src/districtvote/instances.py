@@ -36,9 +36,7 @@ from .errors import (
     TriangleViolation,
     UnknownField,
 )
-
-#: Slack allowed when validating metric axioms on user-supplied matrices.
-TRIANGLE_TOL = 1e-9
+from .tolerances import TRIANGLE_TOL
 
 LINE = "line"
 EUCLIDEAN = "euclidean"

@@ -54,14 +54,10 @@ from .rules import (
     PluralityMatchingRule,
     parse_direct_rule,
 )
+from .tolerances import ACCEPT_SLACK
 
 ALL_ALTERNATIVES = "all-alternatives"
 REPRESENTATIVES_ONLY = "representatives-only"
-
-#: Relative slack on the acceptance threshold so alternatives sitting exactly
-#: on the boundary (up to floating point noise) count as acceptable at any
-#: coordinate scale.
-ACCEPT_SLACK = 1e-12
 
 
 def _acceptable(values: np.ndarray, lam: float) -> np.ndarray:

@@ -23,11 +23,7 @@ import numpy as np
 
 from .errors import IndexOutOfRange, NotLineMetric
 from .instances import Instance
-
-#: Tolerance for arithmetic identities this package controls end to end.
-EXACT_TOL = 1e-12
-#: Tolerance applied to user-supplied floating point data.
-USER_TOL = 1e-9
+from .tolerances import EXACT_TOL, USER_TOL
 
 MONOTONE = "monotone"
 SUBADDITIVE = "subadditive"
@@ -207,7 +203,7 @@ class PropertyCheckResult:
 DEFAULT_SAMPLES = 10_000
 
 
-def _check_rng(seed: int) -> np.random.Generator:
+def _check_rng(seed: int | Sequence[int]) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
@@ -239,7 +235,8 @@ def _row_values(g: InnerObjective, mat: np.ndarray,
 
 
 def check_monotone(g: InnerObjective, samples: int = DEFAULT_SAMPLES,
-                   dims: int = 8, seed: int = 0) -> PropertyCheckResult:
+                   dims: int = 8,
+                   seed: int | Sequence[int] = 0) -> PropertyCheckResult:
     """g(v) <= g(u) whenever v <= u coordinatewise (sampled)."""
     rng = _check_rng(seed)
     for block in _blocks(samples):
@@ -257,7 +254,8 @@ def check_monotone(g: InnerObjective, samples: int = DEFAULT_SAMPLES,
 
 
 def check_subadditive(g: InnerObjective, samples: int = DEFAULT_SAMPLES,
-                      dims: int = 8, seed: int = 0) -> PropertyCheckResult:
+                      dims: int = 8,
+                      seed: int | Sequence[int] = 0) -> PropertyCheckResult:
     """g(v + u) <= g(v) + g(u), and g(c v) <= c g(v) for sampled c >= 1."""
     rng = _check_rng(seed)
     for block in _blocks(samples):
@@ -280,7 +278,8 @@ def check_subadditive(g: InnerObjective, samples: int = DEFAULT_SAMPLES,
 
 
 def check_consistent(g: InnerObjective, samples: int = DEFAULT_SAMPLES,
-                     dims: int = 8, seed: int = 0) -> PropertyCheckResult:
+                     dims: int = 8,
+                     seed: int | Sequence[int] = 0) -> PropertyCheckResult:
     """g of a constant vector (c, ..., c) equals c."""
     rng = _check_rng(seed)
     for block in _blocks(samples):
@@ -340,12 +339,14 @@ def check_single_peaked(g: InnerObjective, instance: Instance,
 
 def run_property_checks(g: InnerObjective, samples: int = DEFAULT_SAMPLES,
                         seed: int = 0) -> list[PropertyCheckResult]:
-    """The three vector-space checks, in a fixed order."""
-    return [
-        check_monotone(g, samples=samples, seed=seed),
-        check_subadditive(g, samples=samples, seed=seed),
-        check_consistent(g, samples=samples, seed=seed),
-    ]
+    """The three vector-space checks, in a fixed order.
+
+    Check k draws from its own stream, ``SeedSequence([seed, k])``, so the
+    three properties are probed on independent vectors.
+    """
+    checks = (check_monotone, check_subadditive, check_consistent)
+    return [check(g, samples=samples, seed=[seed, k])
+            for k, check in enumerate(checks)]
 
 
 # ---------------------------------------------------------------------------

@@ -310,6 +310,77 @@ def test_verify_bounds_forced_failure(capsys, tmp_path):
     assert "1 of 1 checks failed" in err
 
 
+def per_cell_reference(config, out_dir):
+    """Test-only oracle: the sweep rows of verify-bounds, one sweep per cell,
+    each witness written as soon as its cell is done."""
+    rows = []
+    line = config.generator.kind == "line"
+    for mech_spec in config.mechanisms:
+        for obj_spec in config.objectives:
+            objective = dv.parse_objective(obj_spec)
+            mechanism = dv.parse_mechanism(mech_spec, objective)
+            bound = config.bounds.get(f"{mech_spec}|{obj_spec}")
+            if bound is None:
+                bound = dv.claimed_bound(mechanism, objective, line=line)
+            if bound is None:
+                continue
+            result = dv.sweep(mechanism, objective, config.generator,
+                              trials=config.trials, seed=config.seed)
+            name = f"witness_{len(rows):03d}.json"
+            dv.save_instance(result.witness, str(out_dir / name))
+            rows.append(cli.VerifyRow(
+                "sweep", mech_spec, obj_spec, result.evaluated,
+                result.max_ratio, float(bound),
+                result.max_ratio <= bound + cli.BOUND_TOL, name, config.seed))
+    return cli.rows_to_csv(rows)
+
+
+def test_verify_bounds_matches_per_cell_sweeps(capsys, tmp_path):
+    config = write_config(
+        tmp_path,
+        mechanisms=["compose:optimal,optimal",
+                    "compose:plurality-matching,plurality-matching",
+                    "arl:2", "arbitrary-median"],
+        objectives=["avg.avg", "max.max", "max.pmean:2"],
+        families=[],
+        bounds={"compose:optimal,optimal|avg.avg": 1.05},
+    )
+    out_dir, ref_dir = tmp_path / "out", tmp_path / "ref"
+    code, _, err = run_cli(capsys, "verify-bounds", "--config", config,
+                           "--out", str(out_dir))
+    assert code == 1, err
+    ref_dir.mkdir()
+    expected = per_cell_reference(cli.load_config(config), ref_dir)
+    assert (out_dir / "bounds.csv").read_text(encoding="utf-8") == expected
+    witnesses = sorted(p.name for p in ref_dir.iterdir())
+    assert len(witnesses) == 7
+    assert sorted(p.name for p in out_dir.glob("witness_*.json")) == witnesses
+    for name in witnesses:
+        assert (out_dir / name).read_bytes() == (ref_dir / name).read_bytes()
+
+
+@pytest.mark.parametrize("extra", [[], ["mystery"]])
+def test_verify_bounds_line_only_mechanism_on_euclidean(capsys, tmp_path,
+                                                         extra):
+    # the bound override forces a line-only mechanism onto euclidean draws;
+    # a bad spec after it does not mask the incompatibility
+    config = write_config(
+        tmp_path,
+        mechanisms=["compose:optimal,optimal", "arbitrary-median"] + extra,
+        objectives=["avg.max"],
+        generator={**SMALL_CONFIG["generator"], "kind": "euclidean"},
+        families=[],
+        bounds={"arbitrary-median|avg.max": 5.0},
+    )
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(capsys, "verify-bounds", "--config", config,
+                           "--out", str(out_dir))
+    assert code == 3
+    assert err == "error: mechanism 'arbitrary-median' runs only on line instances\n"
+    # an aborted run leaves no witness files behind
+    assert list(out_dir.iterdir()) == []
+
+
 def test_verify_bounds_seed_override_changes_rows(capsys, tmp_path):
     config = write_config(tmp_path, families=[])
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -225,6 +225,149 @@ def test_sweep_rejects_bad_arguments():
 
 
 # ---------------------------------------------------------------------------
+# sweep_cells against the per-cell loop
+# ---------------------------------------------------------------------------
+
+def _trial_rng(seed, trial):
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence([seed, trial])))
+
+
+def reference_sweep(mechanism, objective, draw, trials, seed):
+    """Test-only oracle: per trial, a fresh instance, then evaluate.
+
+    Returns the worst ratio, its first witness in trial order, and how many
+    trials reached that ratio.
+    """
+    worst_ratio, witness, hits = -math.inf, None, 0
+    for i in range(trials):
+        instance = draw(_trial_rng(seed, i))
+        ratio = dv.evaluate(mechanism, instance, objective).ratio
+        if ratio > worst_ratio:
+            worst_ratio, witness, hits = ratio, instance, 1
+        elif ratio == worst_ratio:
+            hits += 1
+    return worst_ratio, witness, hits
+
+
+def _check_against_reference(cells, draw, spec, trials, seed):
+    results = dv.sweep_cells(cells, spec, trials=trials, seed=seed)
+    assert len(results) == len(cells)
+    hits = []
+    for (mechanism, objective), result in zip(cells, results):
+        ratio, witness, n_hits = reference_sweep(mechanism, objective, draw,
+                                                 trials, seed)
+        assert result.max_ratio == ratio, mechanism.spec
+        assert result.evaluated == trials
+        assert result.seed == seed
+        assert result.witness.content_key() == witness.content_key(), (
+            mechanism.spec, objective.spec)
+        hits.append(n_hits)
+    return results, hits
+
+
+LINE_PANEL = (
+    ("compose:optimal,optimal", "avg.avg"),
+    ("compose:optimal,optimal,reps-only", "max.max"),
+    ("compose:plurality-matching,plurality-matching", "avg.max"),
+    ("compose:plurality-matching,median", "avg.avg"),
+    ("arbitrary-median", "avg.max"),
+    ("arbitrary-dictator", "max.max"),
+    ("arl:2", "max.pmean:2"),
+    ("arl:1", "max.avg"),
+)
+
+EUCLIDEAN_PANEL = (
+    ("compose:optimal,optimal", "max.avg"),
+    ("compose:optimal,optimal,reps-only", "avg.max"),
+    ("compose:plurality-matching,plurality-matching", "avg.max"),
+    ("arbitrary-dictator", "max.max"),
+)
+
+
+@pytest.mark.parametrize("spec, panel", [
+    (dv.GeneratorSpec(), LINE_PANEL),
+    (dv.GeneratorSpec(kind="euclidean", dim=2, n_range=(2, 8),
+                      m_range=(2, 5), k_range=(1, 3)), EUCLIDEAN_PANEL),
+], ids=["line", "euclidean"])
+def test_sweep_cells_matches_per_cell_loop(spec, panel):
+    cells = [(make(m, o), dv.parse_objective(o)) for m, o in panel]
+    _check_against_reference(
+        cells, lambda rng: dv.random_instance(rng, spec), spec,
+        trials=120, seed=4)
+
+
+def test_sweep_cells_fixed_generator(worked):
+    spec = dv.GeneratorSpec(kind="fixed", instance=worked)
+    cells = [(make(m, o), dv.parse_objective(o)) for m, o in LINE_PANEL]
+    results, hits = _check_against_reference(
+        cells, lambda rng: worked, spec, trials=5, seed=0)
+    assert all(r.witness is worked for r in results)
+    assert hits == [5] * len(cells)
+
+
+def test_sweep_cells_first_equal_worst_wins():
+    # one district: the optimal rule always elects the optimum, so every
+    # trial reaches ratio 1 and trial 0 must stay the witness
+    spec = dv.GeneratorSpec(k_range=(1, 1))
+    cells = [(make(m, o), dv.parse_objective(o)) for m, o in (
+        ("compose:optimal,optimal", "avg.avg"),
+        ("compose:optimal,optimal", "max.max"),
+        ("compose:plurality-matching,plurality-matching", "avg.max"),
+    )]
+    results, hits = _check_against_reference(
+        cells, lambda rng: dv.random_instance(rng, spec), spec,
+        trials=40, seed=2)
+    first = dv.random_instance(_trial_rng(2, 0), spec)
+    for result, n_hits in zip(results[:2], hits[:2]):
+        assert result.max_ratio == 1.0
+        assert n_hits == 40
+        assert result.witness.content_key() == first.content_key()
+
+
+def test_sweep_cells_zero_cost_optima(monkeypatch):
+    # a drawn set where some optima cost exactly 0: the stub's ratio is
+    # infinite on those, and ties among them keep the first one drawn
+    pool = [
+        dv.build_line_instance([[0.3, 0.7], [0.9]], [0.0, 1.0, 0.5]),
+        dv.build_line_instance([[0.0, 0.0, 0.0]], [0.0, 1.0]),
+        dv.build_line_instance([[2.0], [2.0]], [2.0, 5.0, 3.0]),
+        dv.build_line_instance([[0.1, 0.4]], [0.2, 0.8]),
+    ]
+
+    def draw(rng):
+        return pool[int(rng.integers(len(pool)))]
+
+    monkeypatch.setattr(dv.distortion, "random_instance",
+                        lambda rng, spec: draw(rng))
+    worst = dv.Mechanism(WorstCardinalRule(), WorstCardinalRule())
+    cells = [(worst, dv.parse_objective("avg.avg")),
+             (worst, dv.parse_objective("max.max")),
+             (make("compose:optimal,optimal", "avg.avg"),
+              dv.parse_objective("avg.avg")),
+             (make("arl:2", "max.max"), dv.parse_objective("max.max"))]
+    results, hits = _check_against_reference(
+        cells, draw, dv.GeneratorSpec(), trials=30, seed=1)
+    drawn = [draw(_trial_rng(1, i)) for i in range(30)]
+    assert any(inst is pool[1] for inst in drawn)
+    assert any(inst is pool[2] for inst in drawn)
+    first_zero = next(inst for inst in drawn
+                      if inst is pool[1] or inst is pool[2])
+    for result, n_hits in zip(results[:2], hits[:2]):
+        assert math.isinf(result.max_ratio) and n_hits > 1
+        assert result.witness is first_zero
+    assert results[2].max_ratio == 1.0
+
+
+def test_sweep_cells_no_cells_and_bad_arguments():
+    assert dv.sweep_cells([], trials=10) == []
+    with pytest.raises(dv.GeneratorError):
+        dv.sweep_cells([], trials=0)
+    with pytest.raises(dv.GeneratorError):
+        dv.sweep_cells([], seed=-1)
+
+
+# ---------------------------------------------------------------------------
 # hill climbing
 # ---------------------------------------------------------------------------
 

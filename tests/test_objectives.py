@@ -8,6 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import districtvote as dv
+from districtvote import objectives
 from districtvote.mechanisms import _PEAK_PROBES
 from districtvote.objectives import (
     AVG_AVG,
@@ -171,6 +172,23 @@ def test_squared_sum_fails_subadditivity():
     assert not results["subadditive"].passed
     assert results["subadditive"].witness is not None
     assert not results["consistent"].passed
+
+
+def test_property_checks_draw_from_separate_streams(monkeypatch):
+    # each check's generator must start its own stream, not replay one seed
+    firsts = []
+    real_rng = objectives._check_rng
+
+    def recording_rng(seed):
+        firsts.append(real_rng(seed).random())
+        return real_rng(seed)
+
+    monkeypatch.setattr(objectives, "_check_rng", recording_rng)
+    for seed in (0, 5):
+        firsts.clear()
+        dv.run_property_checks(dv.AVG, samples=10, seed=seed)
+        assert len(firsts) == 3
+        assert len(set(firsts)) == 3, firsts
 
 
 def test_nearest_agent_distance_is_not_single_peaked():
