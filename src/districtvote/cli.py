@@ -39,6 +39,7 @@ from .errors import (
     ConfigError,
     GeneratorError,
     IncompatibleRuleMetric,
+    IndexOutOfRange,
     LambdaBelowOne,
     PropertyCheckFailed,
     SchemaError,
@@ -385,18 +386,10 @@ def _print_verify_table(rows: list[VerifyRow]) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_eval(args) -> int:
-    try:
-        instance = load_instance(args.instance_file)
-        objective = parse_objective(args.objective)
-        mechanism = parse_mechanism(args.mechanism, objective)
-    except _PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = evaluate(mechanism, instance, objective)
-    except IncompatibleRuleMetric as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    instance = load_instance(args.instance_file)
+    objective = parse_objective(args.objective)
+    mechanism = parse_mechanism(args.mechanism, objective)
+    report = evaluate(mechanism, instance, objective)
     print(json.dumps(report_to_json(report), indent=2))
     return 0
 
@@ -411,28 +404,16 @@ def _parse_range_flag(raw: str | None, default: tuple[int, int]) -> tuple[int, i
 
 
 def cmd_sweep(args) -> int:
-    try:
-        objective = parse_objective(args.objective)
-        mechanism = parse_mechanism(args.mechanism, objective)
-        generator = GeneratorSpec(
-            kind=args.kind,
-            n_range=_parse_range_flag(args.n_range, (2, 16)),
-            m_range=_parse_range_flag(args.m_range, (2, 6)),
-            k_range=_parse_range_flag(args.k_range, (1, 4)),
-        )
-        generator.validate()
-    except _PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        result = sweep(mechanism, objective, generator,
-                       trials=args.trials, seed=args.seed)
-    except IncompatibleRuleMetric as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except _PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    objective = parse_objective(args.objective)
+    mechanism = parse_mechanism(args.mechanism, objective)
+    generator = GeneratorSpec(
+        kind=args.kind,
+        n_range=_parse_range_flag(args.n_range, (2, 16)),
+        m_range=_parse_range_flag(args.m_range, (2, 6)),
+        k_range=_parse_range_flag(args.k_range, (1, 4)),
+    )
+    result = sweep(mechanism, objective, generator,
+                   trials=args.trials, seed=args.seed)
     summary = {
         "mechanism": args.mechanism,
         "objective": args.objective,
@@ -463,31 +444,20 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify_bounds(args) -> int:
-    try:
-        config = load_config(args.config) if args.config else default_config()
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("seed must be nonnegative")
-            config.seed = args.seed
-        if args.trials is not None:
-            if args.trials < 1:
-                raise ConfigError("trials must be positive")
-            config.trials = args.trials
-        if args.out is not None:
-            config.out_path = args.out
-        if args.format is not None:
-            config.out_format = args.format
-    except _PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        rows = run_verify_bounds(config)
-    except IncompatibleRuleMetric as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except _PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = load_config(args.config) if args.config else default_config()
+    if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError("seed must be nonnegative")
+        config.seed = args.seed
+    if args.trials is not None:
+        if args.trials < 1:
+            raise ConfigError("trials must be positive")
+        config.trials = args.trials
+    if args.out is not None:
+        config.out_path = args.out
+    if args.format is not None:
+        config.out_format = args.format
+    rows = run_verify_bounds(config)
     _print_verify_table(rows)
     if config.out_path:
         text = (rows_to_csv(rows) if config.out_format == "csv"
@@ -514,15 +484,11 @@ def _demo_inner(spec: str) -> InnerObjective | None:
 
 
 def cmd_check_properties(args) -> int:
-    try:
-        inner = _demo_inner(args.inner) or parse_inner(args.inner)
-        if args.samples < 1:
-            raise ConfigError("samples must be positive")
-        if args.seed < 0:
-            raise ConfigError("seed must be nonnegative")
-    except _PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    inner = _demo_inner(args.inner) or parse_inner(args.inner)
+    if args.samples < 1:
+        raise ConfigError("samples must be positive")
+    if args.seed < 0:
+        raise ConfigError("seed must be nonnegative")
     results = run_property_checks(inner, samples=args.samples, seed=args.seed)
     any_fail = False
     for result in results:
@@ -535,12 +501,8 @@ def cmd_check_properties(args) -> int:
 
 
 def cmd_gen_family(args) -> int:
-    try:
-        family = build_family(args.name, fib_index=args.fib_index, x=args.x)
-        manifest = export_family(family, args.out)
-    except _PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    family = build_family(args.name, fib_index=args.fib_index, x=args.x)
+    manifest = export_family(family, args.out)
     print(manifest)
     return 0
 
@@ -602,8 +564,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; errors of the caller's making become exit codes.
+
+    ``InternalNoWinner`` and other unexpected errors still propagate.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except IncompatibleRuleMetric as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except _PARSE_ERRORS + (IndexOutOfRange,) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

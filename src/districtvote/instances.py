@@ -125,16 +125,6 @@ class OrdinalProfile:
         rows = [pos_of[v] for v in kept]
         return OrdinalProfile(self.rankings[rows], self.line_axis, tuple(kept))
 
-    def restrict_alternatives(self, alternatives: Iterable[int]) -> "OrdinalProfile":
-        """Profile over a candidate subset, preserving each voter's order."""
-        keep = set(int(a) for a in alternatives)
-        keep_list = sorted(keep)
-        rows = [row[np.isin(row, keep_list)] for row in self.rankings]
-        axis = None
-        if self.line_axis is not None:
-            axis = tuple(a for a in self.line_axis if a in keep)
-        return OrdinalProfile(np.array(rows), axis, self.agent_ids)
-
 
 @dataclass(frozen=True, eq=False)
 class Instance:
@@ -279,6 +269,19 @@ def _line_instance_from_ids(agent_positions: np.ndarray, districts,
                           agent_alt, alt_alt)
 
 
+def _consecutive_districts(blocks: Sequence[Sequence]) -> list[list[int]]:
+    """Districts of consecutive agent ids, one per non-empty block."""
+    if not blocks:
+        raise EmptyDistrict("an instance needs at least one district")
+    districts, start = [], 0
+    for d, block in enumerate(blocks):
+        if len(block) == 0:
+            raise EmptyDistrict(f"district {d} has no agents")
+        districts.append(list(range(start, start + len(block))))
+        start += len(block)
+    return districts
+
+
 def build_line_instance(agent_positions_by_district: Sequence[Sequence[float]],
                         alternative_positions: Sequence[float]) -> Instance:
     """Build a line instance; agents get consecutive ids district by district.
@@ -289,16 +292,8 @@ def build_line_instance(agent_positions_by_district: Sequence[Sequence[float]],
     """
     if len(alternative_positions) == 0:
         raise NoAlternatives("an instance needs at least one alternative")
-    if not agent_positions_by_district:
-        raise EmptyDistrict("an instance needs at least one district")
-    flat: list[float] = []
-    districts: list[list[int]] = []
-    for d, block in enumerate(agent_positions_by_district):
-        if len(block) == 0:
-            raise EmptyDistrict(f"district {d} has no agents")
-        start = len(flat)
-        flat.extend(float(p) for p in block)
-        districts.append(list(range(start, len(flat))))
+    districts = _consecutive_districts(agent_positions_by_district)
+    flat = [float(p) for block in agent_positions_by_district for p in block]
     return _line_instance_from_ids(np.array(flat), districts,
                                    np.array([float(p) for p in alternative_positions]))
 
@@ -325,16 +320,8 @@ def build_euclidean_instance(agent_coords_by_district: Sequence[Sequence[Sequenc
     """Euclidean counterpart of :func:`build_line_instance`."""
     if len(alternative_coords) == 0:
         raise NoAlternatives("an instance needs at least one alternative")
-    if not agent_coords_by_district:
-        raise EmptyDistrict("an instance needs at least one district")
-    flat: list[Sequence[float]] = []
-    districts: list[list[int]] = []
-    for d, block in enumerate(agent_coords_by_district):
-        if len(block) == 0:
-            raise EmptyDistrict(f"district {d} has no agents")
-        start = len(flat)
-        flat.extend(block)
-        districts.append(list(range(start, len(flat))))
+    districts = _consecutive_districts(agent_coords_by_district)
+    flat = [xy for block in agent_coords_by_district for xy in block]
     return _euclidean_instance_from_ids(np.array(flat, dtype=np.float64), districts,
                                         np.array(alternative_coords, dtype=np.float64))
 
@@ -486,6 +473,36 @@ def _as_districts(raw) -> list[list[int]]:
     return out
 
 
+#: For each point metric: (agents key, alternatives key, what an agent block holds).
+_POINT_KEYS = {
+    LINE: ("agent_positions", "alternative_positions", "position"),
+    EUCLIDEAN: ("agent_coords", "alternative_coords", "coordinate"),
+}
+
+
+def _place_blocks(blocks, districts: list[list[int]], num_agents: int,
+                  dim: int | None, noun: str) -> np.ndarray:
+    """Agent points by id from blocks aligned with ``districts``.
+
+    ``dim`` is None for line positions, else the coordinate dimension.
+    """
+    points = np.zeros(num_agents if dim is None else (num_agents, dim))
+    seen = np.zeros(num_agents, dtype=bool)
+    for d, (members, block) in enumerate(zip(districts, blocks)):
+        if len(members) != len(block):
+            raise SchemaError(f"district {d} and its {noun} block differ in length")
+        for a, p in zip(members, block):
+            if not (0 <= a < num_agents):
+                raise InvalidPartition(f"agent id {a} out of range")
+            if seen[a]:
+                raise InvalidPartition(f"agent id {a} appears twice")
+            if dim is not None and len(p) != dim:
+                raise SchemaError("inconsistent coordinate dimensions")
+            seen[a] = True
+            points[a] = float(p) if dim is None else [float(c) for c in p]
+    return points
+
+
 def instance_from_json(data: dict) -> Instance:
     """Parse the canonical JSON dict; rejects unknown fields."""
     if not isinstance(data, dict):
@@ -519,77 +536,47 @@ def instance_from_json(data: dict) -> Instance:
     elif alternatives is not None:
         raise SchemaError("'alternatives' must be a count or a position list")
 
+    if kind == EXPLICIT:
+        if "distances" not in metric:
+            raise SchemaError("explicit metric needs 'distances'")
+        if alt_count is None:
+            raise SchemaError("explicit metric needs an 'alternatives' count")
+        mat = _freeze(metric["distances"], ndim=2)
+        if mat.shape[0] != num_agents + alt_count:
+            raise SchemaError(
+                f"matrix side {mat.shape[0]} != agents {num_agents} + alternatives {alt_count}"
+            )
+        if alt_count < 1:
+            raise NoAlternatives("an instance needs at least one alternative")
+        _validate_distance_matrix(mat)
+        return _explicit_instance_from_ids(mat, districts, num_agents, alt_count)
+
+    agents_key, alts_key, noun = _POINT_KEYS[kind]
+    required = (agents_key,) if kind == LINE else (agents_key, alts_key)
+    if any(key not in metric for key in required):
+        raise SchemaError(f"{kind} metric needs "
+                          + " and ".join(f"'{key}'" for key in required))
+    blocks = metric[agents_key]
+    if len(blocks) != len(districts):
+        raise SchemaError(f"'{agents_key}' must align with 'districts'")
     if kind == LINE:
-        if "agent_positions" not in metric:
-            raise SchemaError("line metric needs 'agent_positions'")
-        blocks = metric["agent_positions"]
-        if len(blocks) != len(districts):
-            raise SchemaError("'agent_positions' must align with 'districts'")
-        alt_pos = metric.get("alternative_positions", alt_positions_from_count)
-        if alt_pos is None:
+        alt_points = metric.get(alts_key, alt_positions_from_count)
+        if alt_points is None:
             raise SchemaError("line metric needs alternative positions")
         if alt_positions_from_count is not None and \
-                list(map(float, metric.get("alternative_positions", alt_positions_from_count))) \
-                != alt_positions_from_count:
+                list(map(float, alt_points)) != alt_positions_from_count:
             raise SchemaError("'alternatives' list disagrees with metric positions")
-        if alt_count is not None and alt_count != len(alt_pos):
-            raise SchemaError("'alternatives' count disagrees with metric positions")
-        positions = np.zeros(num_agents, dtype=np.float64)
-        seen = np.zeros(num_agents, dtype=bool)
-        for d, (members, block) in enumerate(zip(districts, blocks)):
-            if len(members) != len(block):
-                raise SchemaError(f"district {d} and its position block differ in length")
-            for a, p in zip(members, block):
-                if not (0 <= a < num_agents):
-                    raise InvalidPartition(f"agent id {a} out of range")
-                if seen[a]:
-                    raise InvalidPartition(f"agent id {a} appears twice")
-                seen[a] = True
-                positions[a] = float(p)
-        return _line_instance_from_ids(positions, districts, np.array(alt_pos, dtype=np.float64))
-
-    if kind == EUCLIDEAN:
-        if "agent_coords" not in metric or "alternative_coords" not in metric:
-            raise SchemaError("euclidean metric needs 'agent_coords' and 'alternative_coords'")
-        blocks = metric["agent_coords"]
-        if len(blocks) != len(districts):
-            raise SchemaError("'agent_coords' must align with 'districts'")
-        alt_xy = np.array(metric["alternative_coords"], dtype=np.float64)
-        if alt_xy.ndim != 2:
+        dim, described = None, "metric positions"
+    else:
+        alt_points = np.array(metric[alts_key], dtype=np.float64)
+        if alt_points.ndim != 2:
             raise SchemaError("'alternative_coords' must be a list of coordinate lists")
-        if alt_count is not None and alt_count != alt_xy.shape[0]:
-            raise SchemaError("'alternatives' count disagrees with coordinates")
-        dim = alt_xy.shape[1]
-        coords = np.zeros((num_agents, dim), dtype=np.float64)
-        seen = np.zeros(num_agents, dtype=bool)
-        for d, (members, block) in enumerate(zip(districts, blocks)):
-            if len(members) != len(block):
-                raise SchemaError(f"district {d} and its coordinate block differ in length")
-            for a, xy in zip(members, block):
-                if not (0 <= a < num_agents):
-                    raise InvalidPartition(f"agent id {a} out of range")
-                if seen[a]:
-                    raise InvalidPartition(f"agent id {a} appears twice")
-                if len(xy) != dim:
-                    raise SchemaError("inconsistent coordinate dimensions")
-                seen[a] = True
-                coords[a] = [float(c) for c in xy]
-        return _euclidean_instance_from_ids(coords, districts, alt_xy)
-
-    # explicit
-    if "distances" not in metric:
-        raise SchemaError("explicit metric needs 'distances'")
-    if alt_count is None:
-        raise SchemaError("explicit metric needs an 'alternatives' count")
-    mat = _freeze(metric["distances"], ndim=2)
-    if mat.shape[0] != num_agents + alt_count:
-        raise SchemaError(
-            f"matrix side {mat.shape[0]} != agents {num_agents} + alternatives {alt_count}"
-        )
-    if alt_count < 1:
-        raise NoAlternatives("an instance needs at least one alternative")
-    _validate_distance_matrix(mat)
-    return _explicit_instance_from_ids(mat, districts, num_agents, alt_count)
+        dim, described = alt_points.shape[1], "coordinates"
+    if alt_count is not None and alt_count != len(alt_points):
+        raise SchemaError(f"'alternatives' count disagrees with {described}")
+    points = _place_blocks(blocks, districts, num_agents, dim, noun)
+    build = _line_instance_from_ids if kind == LINE else _euclidean_instance_from_ids
+    return build(points, districts, np.array(alt_points, dtype=np.float64))
 
 
 def save_instance(instance: Instance, path) -> None:

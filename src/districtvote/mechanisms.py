@@ -11,12 +11,12 @@ cardinal rules receive distance blocks. Factories are provided for the
 named mechanisms: plain composition, composition through an arbitrary over
 step, dictator-then-median on a line, and the threshold-acceptance line
 mechanism (pick the rightmost acceptable alternative per district, then the
-leftmost representative).
+leftmost representative). ``claimed_bound`` reads every bound this package
+claims from one table (``IN_FACTORS``, ``OVER_FACTORS``, ``MECHANISM_BOUNDS``).
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
@@ -42,6 +42,7 @@ from .objectives import (
     MONOTONE,
     SUBADDITIVE,
     check_single_peaked,
+    is_power_mean,
     parse_inner,
     run_property_checks,
 )
@@ -74,58 +75,37 @@ class ArbitraryOverRule:
     """Returns one district's representative verbatim.
 
     The canonical choice is the representative of the lowest-indexed
-    district (``index=0``). A seed switches to a deterministic but
-    input-dependent pick, useful for stress-testing claims that must hold
-    for every arbitrary choice.
+    district (``index=0``).
     """
 
     index: int = 0
-    seed: int | None = None
     info: ClassVar[str] = ORDINAL
     unanimous: ClassVar[bool] = True
     line_only: ClassVar[bool] = False
 
     @property
     def name(self) -> str:
-        if self.seed is not None:
-            return f"arbitrary~{self.seed}"
         return "arbitrary" if self.index == 0 else f"arbitrary:{self.index}"
 
     def select_ordinal(self, profile: OrdinalProfile,
                        peaks: Sequence[int] | None = None) -> int:
         if not peaks:
             raise EmptyVoterSet("arbitrary over rule needs representatives")
-        if self.seed is None:
-            if not (0 <= self.index < len(peaks)):
-                raise IndexOutOfRange(
-                    f"district index {self.index} out of range for {len(peaks)} districts"
-                )
-            return int(peaks[self.index])
-        digest = hashlib.sha256()
-        digest.update(str(self.seed).encode())
-        digest.update(repr(tuple(int(p) for p in peaks)).encode())
-        digest.update(profile.rankings.tobytes())
-        pick = int.from_bytes(digest.digest()[:8], "big") % len(peaks)
-        return int(peaks[pick])
-
-    def claimed_in(self, inner) -> float | None:
-        return None
-
-    def claimed_over(self, outer) -> float | None:
-        return None
+        if not (0 <= self.index < len(peaks)):
+            raise IndexOutOfRange(
+                f"district index {self.index} out of range for {len(peaks)} districts"
+            )
+        return int(peaks[self.index])
 
 
 @dataclass(frozen=True)
 class LeftmostRepRule:
     """Returns the leftmost representative on the line (ties: lower id)."""
 
+    name: ClassVar[str] = "leftmost"
     info: ClassVar[str] = ORDINAL
     unanimous: ClassVar[bool] = True
     line_only: ClassVar[bool] = True
-
-    @property
-    def name(self) -> str:
-        return "leftmost"
 
     def select_ordinal(self, profile: OrdinalProfile,
                        peaks: Sequence[int] | None = None) -> int:
@@ -135,12 +115,6 @@ class LeftmostRepRule:
             raise MissingAxis("leftmost rule needs the line ordering")
         axis_rank = {alt: r for r, alt in enumerate(profile.line_axis)}
         return int(min({int(p) for p in peaks}, key=axis_rank.__getitem__))
-
-    def claimed_in(self, inner) -> float | None:
-        return None
-
-    def claimed_over(self, outer) -> float | None:
-        return None
 
 
 @dataclass(frozen=True)
@@ -173,12 +147,6 @@ class ThresholdSelectRule:
         pos = positions[acceptable]
         rightmost = acceptable[np.flatnonzero(pos == pos.max())[0]]
         return int(candidates[rightmost])
-
-    def claimed_in(self, inner) -> float | None:
-        return None
-
-    def claimed_over(self, outer) -> float | None:
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +270,10 @@ def run(mechanism: Mechanism, instance: Instance) -> MechanismTrace:
 # named mechanism factories
 # ---------------------------------------------------------------------------
 
-def arbitrary_over(in_rule, index: int = 0, seed: int | None = None) -> Mechanism:
+def arbitrary_over(in_rule, index: int = 0) -> Mechanism:
     """Compose an in-rule with an over step that just hands the win to one
     district's representative (canonically the lowest-indexed district)."""
-    return Mechanism(in_rule, ArbitraryOverRule(index=index, seed=seed),
-                     ALL_ALTERNATIVES)
+    return Mechanism(in_rule, ArbitraryOverRule(index), ALL_ALTERNATIVES)
 
 
 def arbitrary_median() -> Mechanism:
@@ -346,7 +313,16 @@ _PEAK_PROBES = (
 
 
 def _validate_arl_inner(inner: InnerObjective) -> None:
-    if inner.kind != CUSTOM_KIND:
+    """Reject a custom inner that is not cost-like enough for the threshold.
+
+    ``avg``, ``max`` and the power means that ``power_mean`` built are
+    trusted as declared, unchecked: for p >= 1 Minkowski's inequality makes
+    the power mean subadditive, it is monotone and consistent, and its cost
+    along a line is convex, hence single-peaked; the factory rejects p < 1.
+    Power means are recognised by identity, so a custom inner that only
+    borrows the name is still checked.
+    """
+    if inner.kind != CUSTOM_KIND or is_power_mean(inner):
         return
     for result in run_property_checks(inner):
         if not result.passed:
@@ -375,7 +351,7 @@ def lambda_arl(lam: float, inner: InnerObjective = AVG) -> Mechanism:
 
 
 # ---------------------------------------------------------------------------
-# parsing and claimed bounds
+# parsing
 # ---------------------------------------------------------------------------
 
 def _parse_in_rule(token: str, objective: ComposedObjective | None):
@@ -443,6 +419,85 @@ def parse_mechanism(spec: str,
     raise ValueError(f"unknown mechanism spec {spec!r}")
 
 
+# ---------------------------------------------------------------------------
+# the claim table
+# ---------------------------------------------------------------------------
+
+#: Table key meaning "the aggregator the rule itself minimizes".
+SAME = "same"
+
+#: In-step factors alpha: the representative's inner cost is at most alpha
+#: times the district's best. Keyed by (rule type, inner kind or SAME).
+IN_FACTORS = {
+    (OptimalRule, SAME): 1.0,               # exact: it minimizes that aggregator
+    (PluralityMatchingRule, AVG_KIND): 3.0,  # metric distortion 3 (GHS 2020)
+    (PluralityMatchingRule, MAX_KIND): 3.0,  # the rule's factor for the max cost
+    (DictatorRule, MAX_KIND): 3.0,           # d(j, top_i) <= d(j, x) + 2 d(i, x)
+}
+
+#: Over-step factors beta (gamma when the winner must be a representative):
+#: the same guarantee for pseudo-voters standing at the representatives.
+#: Keyed by (rule type, outer kind or SAME).
+OVER_FACTORS = {
+    (OptimalRule, SAME): 1.0,               # exact over the pseudo-voters
+    (MedianLineRule, AVG_KIND): 1.0,         # the median peak minimizes total distance
+    (PluralityMatchingRule, AVG_KIND): 2.0,  # voters at their top sharpen 3 to 2
+    (PluralityMatchingRule, MAX_KIND): 2.0,  # the same, for the max cost
+}
+
+
+def _in_factor(rule, inner: InnerObjective) -> float | None:
+    own = getattr(rule, "inner", None)
+    same = own is not None and own.spec == inner.spec
+    return IN_FACTORS.get((type(rule), SAME if same else inner.kind))
+
+
+def _over_factor(rule, outer) -> float | None:
+    own = getattr(rule, "inner", None)
+    same = own is not None and own.kind == outer.kind
+    return OVER_FACTORS.get((type(rule), SAME if same else outer.kind))
+
+
+def _threshold_leftmost(in_rule, objective, line):
+    if (objective.outer.kind == MAX_KIND
+            and objective.inner.spec == in_rule.inner.spec):
+        return max(2.0 + 1.0 / in_rule.lam, in_rule.lam)
+    return None
+
+
+def _dictator_median(in_rule, objective, line):
+    if (objective.outer.kind, objective.inner.kind) == (AVG_KIND, MAX_KIND):
+        return 5.0
+    return None
+
+
+def _arbitrary(in_rule, objective, line):
+    alpha = _in_factor(in_rule, objective.inner)
+    if alpha is None or objective.outer.kind != MAX_KIND:
+        return None
+    return 2.0 + alpha
+
+
+def _dictator_arbitrary(in_rule, objective, line):
+    if line and (objective.outer.kind, objective.inner.kind) == (MAX_KIND, MAX_KIND):
+        return 3.0
+    return _arbitrary(in_rule, objective, line)
+
+
+#: Whole-mechanism bounds that replace the composition formulas, keyed by
+#: (in-rule type, over-rule type); ``object`` stands for any in-rule.
+MECHANISM_BOUNDS = {
+    # lambda-ARL: max(2 + 1/lambda, lambda) for max outer and the rule's inner
+    (ThresholdSelectRule, LeftmostRepRule): _threshold_leftmost,
+    # arbitrary-median: 5 for avg.max, however the representatives are picked
+    (DictatorRule, MedianLineRule): _dictator_median,
+    # arbitrary-dictator: 3 for max.max on a line, else 2 + alpha as below
+    (DictatorRule, ArbitraryOverRule): _dictator_arbitrary,
+    # a fixed district's representative: 2 + alpha for max outer
+    (object, ArbitraryOverRule): _arbitrary,
+}
+
+
 def _composable_inner(inner: InnerObjective) -> bool:
     """Whether the additive composition guarantee covers this aggregator."""
     if inner.kind in (AVG_KIND, MAX_KIND):
@@ -456,34 +511,20 @@ def claimed_bound(mechanism: Mechanism, objective: ComposedObjective,
     """Worst-case distortion this package claims for the pair, if any.
 
     ``line`` says whether instances are drawn from a line metric (the
-    default sweep generator); a few claims hold only there.
+    default sweep generator); a few claims hold only there. A row of
+    ``MECHANISM_BOUNDS`` decides alone; otherwise the in-step factor alpha
+    and the over-step factor compose as alpha + beta + alpha*beta, or as
+    alpha + 2*gamma + 2*alpha*gamma when the winner must be a representative.
     """
     in_rule, over_rule = mechanism.in_rule, mechanism.over_rule
-    outer_kind = objective.outer.kind
-
     if mechanism.line_only and not line:
         return None
+    whole = (MECHANISM_BOUNDS.get((type(in_rule), type(over_rule)))
+             or MECHANISM_BOUNDS.get((object, type(over_rule))))
+    if whole is not None:
+        return whole(in_rule, objective, line)
 
-    if isinstance(in_rule, ThresholdSelectRule):
-        if outer_kind == MAX_KIND and objective.inner.spec == in_rule.inner.spec:
-            return max(2.0 + 1.0 / in_rule.lam, in_rule.lam)
-        return None
-
-    if isinstance(in_rule, DictatorRule) and isinstance(over_rule, MedianLineRule):
-        if outer_kind == AVG_KIND and objective.inner.kind == MAX_KIND:
-            return 5.0
-        return None
-
-    if isinstance(over_rule, ArbitraryOverRule):
-        if (line and isinstance(in_rule, DictatorRule)
-                and outer_kind == MAX_KIND and objective.inner.kind == MAX_KIND):
-            return 3.0
-        alpha = in_rule.claimed_in(objective.inner)
-        if alpha is not None and outer_kind == MAX_KIND:
-            return 2.0 + alpha
-        return None
-
-    alpha = in_rule.claimed_in(objective.inner)
+    alpha = _in_factor(in_rule, objective.inner)
     if alpha is None:
         return None
     if mechanism.selection_mode == REPRESENTATIVES_ONLY:
@@ -491,13 +532,13 @@ def claimed_bound(mechanism: Mechanism, objective: ComposedObjective,
         # two built-in inner aggregators
         if objective.inner.kind not in (AVG_KIND, MAX_KIND):
             return None
-        gamma = over_rule.claimed_over(objective.outer)
+        gamma = _over_factor(over_rule, objective.outer)
         if gamma is None:
             return None
         return alpha + 2.0 * gamma + 2.0 * alpha * gamma
     if not _composable_inner(objective.inner):
         return None
-    beta = over_rule.claimed_over(objective.outer)
+    beta = _over_factor(over_rule, objective.outer)
     if beta is None:
         return None
     return alpha + beta + alpha * beta

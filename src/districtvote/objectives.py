@@ -122,11 +122,21 @@ MAX_MAX = ComposedObjective(OUTER_MAX, MAX)
 MAX_AVG = ComposedObjective(OUTER_MAX, AVG)
 
 
+#: The power means built so far, one object per exponent.
+_POWER_MEANS: dict[float, InnerObjective] = {}
+
+
 def power_mean(p: float) -> InnerObjective:
-    """The power mean ((1/n) sum v_i^p)^(1/p); p >= 1 keeps it cost-like."""
+    """The power mean ((1/n) sum v_i^p)^(1/p); p >= 1 keeps it cost-like.
+
+    Each exponent gets one object, so :func:`is_power_mean` can tell a
+    built-in power mean from a custom inner that only shares its name.
+    """
     p = float(p)
     if p < 1:
         raise ValueError("power mean exponent must be >= 1")
+    if p in _POWER_MEANS:
+        return _POWER_MEANS[p]
 
     def fn(v: np.ndarray) -> float:
         v = np.asarray(v, dtype=np.float64)
@@ -136,9 +146,16 @@ def power_mean(p: float) -> InnerObjective:
         return np.mean(mat ** p, axis=0) ** (1.0 / p)
 
     label = f"pmean:{p:g}"
-    return InnerObjective(kind=CUSTOM_KIND, name=label, fn=fn,
-                          columns_fn=columns_fn,
-                          declared_properties=ALL_PROPERTIES)
+    inner = InnerObjective(kind=CUSTOM_KIND, name=label, fn=fn,
+                           columns_fn=columns_fn,
+                           declared_properties=ALL_PROPERTIES)
+    _POWER_MEANS[p] = inner
+    return inner
+
+
+def is_power_mean(inner: InnerObjective) -> bool:
+    """Whether ``inner`` is an object that :func:`power_mean` built."""
+    return any(inner is g for g in _POWER_MEANS.values())
 
 
 # ---------------------------------------------------------------------------

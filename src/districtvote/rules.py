@@ -24,7 +24,7 @@ from .errors import (
     MissingAxis,
 )
 from .instances import Instance, OrdinalProfile
-from .objectives import AVG_KIND, MAX_KIND, InnerObjective, OuterObjective
+from .objectives import InnerObjective
 
 CARDINAL = "cardinal"
 ORDINAL = "ordinal"
@@ -142,13 +142,10 @@ class OptimalRule:
     """Cardinal rule: minimize a fixed inner aggregator over the electorate."""
 
     inner: InnerObjective
+    name: ClassVar[str] = "optimal"
     info: ClassVar[str] = CARDINAL
     unanimous: ClassVar[bool] = True
     line_only: ClassVar[bool] = False
-
-    @property
-    def name(self) -> str:
-        return "optimal"
 
     def select_cardinal(self, dist: np.ndarray, candidates: np.ndarray,
                         positions: np.ndarray | None) -> int:
@@ -157,61 +154,33 @@ class OptimalRule:
         values = self.inner.over_columns(dist)
         return int(candidates[int(np.argmin(values))])
 
-    def claimed_in(self, inner: InnerObjective) -> float | None:
-        return 1.0 if inner.spec == self.inner.spec else None
-
-    def claimed_over(self, outer: OuterObjective) -> float | None:
-        return 1.0 if outer.kind == self.inner.kind else None
-
 
 @dataclass(frozen=True)
 class MedianLineRule:
     """Ordinal line rule: lower median of voter peaks."""
 
+    name: ClassVar[str] = "median"
     info: ClassVar[str] = ORDINAL
     unanimous: ClassVar[bool] = True
     line_only: ClassVar[bool] = True
 
-    @property
-    def name(self) -> str:
-        return "median"
-
     def select_ordinal(self, profile: OrdinalProfile,
                        peaks: Sequence[int] | None = None) -> int:
         return median_line_rule(profile, peaks)
-
-    def claimed_in(self, inner: InnerObjective) -> float | None:
-        return None
-
-    def claimed_over(self, outer: OuterObjective) -> float | None:
-        # over pseudo-voters standing exactly at alternatives, the median
-        # peak attains the line-wide optimum of total (hence average) distance
-        return 1.0 if outer.kind == AVG_KIND else None
 
 
 @dataclass(frozen=True)
 class PluralityMatchingRule:
     """Ordinal rule with constant-factor guarantees for both avg and max."""
 
+    name: ClassVar[str] = "plurality-matching"
     info: ClassVar[str] = ORDINAL
     unanimous: ClassVar[bool] = True
     line_only: ClassVar[bool] = False
 
-    @property
-    def name(self) -> str:
-        return "plurality-matching"
-
     def select_ordinal(self, profile: OrdinalProfile,
                        peaks: Sequence[int] | None = None) -> int:
         return plurality_matching_rule(profile)
-
-    def claimed_in(self, inner: InnerObjective) -> float | None:
-        return 3.0 if inner.kind in (AVG_KIND, MAX_KIND) else None
-
-    def claimed_over(self, outer: OuterObjective) -> float | None:
-        # pseudo-voters sit at distance 0 from their favorite candidate,
-        # which sharpens the guarantee to 2
-        return 2.0 if outer.kind in (AVG_KIND, MAX_KIND) else None
 
 
 @dataclass(frozen=True)
@@ -231,14 +200,6 @@ class DictatorRule:
     def select_ordinal(self, profile: OrdinalProfile,
                        peaks: Sequence[int] | None = None) -> int:
         return dictator_rule(profile, self.dictator_index)
-
-    def claimed_in(self, inner: InnerObjective) -> float | None:
-        # any single voter's top is a 3-approximation of the worst-case
-        # (max) district cost; nothing comparable holds for averages
-        return 3.0 if inner.kind == MAX_KIND else None
-
-    def claimed_over(self, outer: OuterObjective) -> float | None:
-        return None
 
 
 def parse_direct_rule(token: str) -> object:

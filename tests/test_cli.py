@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -427,6 +428,53 @@ def test_verify_bounds_malformed_json(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify-bounds", "--config", str(path))
     assert code == 2
     assert "error:" in err
+
+
+# ---------------------------------------------------------------------------
+# rule indices out of range are input errors (exit 2)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("mechanism, objective, message", [
+    ("compose:dictator:5,plurality-matching", "avg.avg",
+     "dictator index 5 out of range for 2 voters"),
+    ("compose:optimal,arbitrary:7", "max.max",
+     "district index 7 out of range for 2 districts"),
+])
+def test_eval_rule_index_out_of_range(capsys, worked_file, mechanism,
+                                      objective, message):
+    code, out, err = run_cli(capsys, "eval", worked_file, mechanism, objective)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_sweep_rule_index_out_of_range(capsys):
+    # the first single-agent district has no second voter to dictate
+    code, out, err = run_cli(capsys, "sweep", "compose:dictator:1,optimal",
+                             "max.max", "--trials", "5")
+    assert code == 2
+    assert out == ""
+    assert err == "error: dictator index 1 out of range for 1 voters\n"
+
+
+def test_verify_bounds_rule_index_out_of_range(capsys, tmp_path):
+    config = write_config(tmp_path, mechanisms=["compose:dictator:1,optimal"],
+                          objectives=["max.max"], families=[])
+    code, _, err = run_cli(capsys, "verify-bounds", "--config", config)
+    assert code == 2
+    assert err == "error: dictator index 1 out of range for 1 voters\n"
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### verify-bounds config format", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "config.json"
+    path.write_text(block, encoding="utf-8")
+    config = cli.load_config(str(path))
+    assert config.mechanisms == ["compose:optimal,optimal", "arl:2"]
+    assert config.out_path == "results"
+    assert config.out_format == "csv"
 
 
 # ---------------------------------------------------------------------------

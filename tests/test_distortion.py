@@ -53,12 +53,6 @@ class WorstCardinalRule:
     def select_cardinal(self, dist, candidates, positions):
         return int(candidates[int(np.argmax(dist.sum(axis=0)))])
 
-    def claimed_in(self, inner):
-        return None
-
-    def claimed_over(self, outer):
-        return None
-
 
 def test_evaluate_infinite_ratio_and_json():
     # the optimum costs exactly zero, the stub picks something that does not

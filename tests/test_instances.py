@@ -162,11 +162,6 @@ def test_profile_restrict_sorts_by_agent_id(worked):
     assert sub.line_axis == (0, 1)
 
 
-def test_profile_restrict_alternatives(worked):
-    sub = worked.profile().restrict_alternatives([1])
-    assert sub.rankings.tolist() == [[1], [1], [1]]
-
-
 @settings(max_examples=120, deadline=None)
 @given(line_instances())
 def test_rankings_are_sorted_by_distance_with_id_ties(inst):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 
 import districtvote as dv
+from districtvote import mechanisms
+from districtvote.objectives import ALL_PROPERTIES
 
 from .strategies import line_instances
 
@@ -104,12 +106,6 @@ def test_arbitrary_over_hands_win_to_indexed_district(worked):
     assert trace.winner == trace.representatives[0] == 0
     trace = dv.run(dv.arbitrary_over(dv.OptimalRule(dv.MAX), index=1), worked)
     assert trace.winner == trace.representatives[1] == 1
-
-
-def test_arbitrary_over_seeded_is_deterministic(worked):
-    mech = dv.arbitrary_over(dv.OptimalRule(dv.MAX), seed=42)
-    assert dv.run(mech, worked) == dv.run(mech, worked)
-    assert dv.run(mech, worked).winner in (0, 1)
 
 
 def test_arbitrary_dictator_trace(worked):
@@ -250,6 +246,32 @@ def test_lambda_arl_rejects_nearest_agent_inner():
     with pytest.raises(dv.PropertyCheckFailed) as exc:
         dv.lambda_arl(2.0, nearest)
     assert exc.value.property_name == "subadditive"
+
+
+@pytest.mark.parametrize("declared", [frozenset(), ALL_PROPERTIES])
+def test_lambda_arl_rejects_inner_named_like_power_mean(declared):
+    # only the objects power_mean built are trusted; borrowing the name
+    # (and, with every property declared, even comparing equal to the real
+    # power mean, since equality ignores fn) earns nothing
+    impostor = dv.InnerObjective(kind="custom", name="pmean:2",
+                                 fn=lambda v: float(np.sum(v)) ** 2,
+                                 declared_properties=declared)
+    assert (impostor == dv.power_mean(2)) == bool(declared)
+    with pytest.raises(dv.PropertyCheckFailed) as exc:
+        dv.lambda_arl(2.0, impostor)
+    assert exc.value.property_name == "subadditive"
+
+
+def test_lambda_arl_trusts_built_in_power_means(monkeypatch):
+    def no_checks(*args, **kwargs):
+        raise AssertionError("a built-in power mean was property-checked")
+
+    monkeypatch.setattr(mechanisms, "run_property_checks", no_checks)
+    monkeypatch.setattr(mechanisms, "check_single_peaked", no_checks)
+    assert dv.parse_mechanism("arl:2,pmean:2").spec == "arl:2,pmean:2"
+    objective = dv.parse_objective("max.pmean:3")
+    assert dv.parse_mechanism("arl:1", objective).in_rule.inner is objective.inner
+    assert dv.power_mean(2.5) is dv.power_mean(2.5)
 
 
 def test_lambda_arl_probes_catch_sneaky_inner():

@@ -141,10 +141,12 @@ def test_matching_rule_on_metric_profiles(inst):
             == matching_winner_oracle(profile.rankings))
 
 
-def test_matching_rule_nonlocal_candidate_ids(worked):
-    # restricted profiles keep original alternative ids
-    sub = worked.profile().restrict_alternatives([1])
-    assert dv.plurality_matching_rule(sub) == 1
+def test_matching_rule_nonlocal_candidate_ids():
+    # candidate ids need not be 0..m-1: over-step profiles offer a subset
+    profile = dv.OrdinalProfile(np.array([[7, 3], [3, 7], [7, 3]]))
+    assert dv.plurality_matching_rule(profile) == 7
+    profile = dv.OrdinalProfile(np.array([[5], [5]]))
+    assert dv.plurality_matching_rule(profile) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -290,16 +292,16 @@ def test_rule_metadata():
 
 
 def test_claimed_factors():
-    assert dv.OptimalRule(dv.AVG).claimed_in(dv.AVG) == 1.0
-    assert dv.OptimalRule(dv.AVG).claimed_in(dv.MAX) is None
-    pm = dv.PluralityMatchingRule()
-    assert pm.claimed_in(dv.AVG) == 3.0
-    assert pm.claimed_in(dv.MAX) == 3.0
-    assert pm.claimed_in(dv.power_mean(2)) is None
-    assert pm.claimed_over(dv.parse_objective("avg.avg").outer) == 2.0
-    dic = dv.DictatorRule()
-    assert dic.claimed_in(dv.MAX) == 3.0
-    assert dic.claimed_in(dv.AVG) is None
-    med = dv.MedianLineRule()
-    assert med.claimed_over(dv.parse_objective("avg.avg").outer) == 1.0
-    assert med.claimed_over(dv.parse_objective("max.avg").outer) is None
+    from districtvote.mechanisms import IN_FACTORS, OVER_FACTORS, SAME
+    assert IN_FACTORS == {
+        (dv.OptimalRule, SAME): 1.0,
+        (dv.PluralityMatchingRule, "avg"): 3.0,
+        (dv.PluralityMatchingRule, "max"): 3.0,
+        (dv.DictatorRule, "max"): 3.0,
+    }
+    assert OVER_FACTORS == {
+        (dv.OptimalRule, SAME): 1.0,
+        (dv.MedianLineRule, "avg"): 1.0,
+        (dv.PluralityMatchingRule, "avg"): 2.0,
+        (dv.PluralityMatchingRule, "max"): 2.0,
+    }
