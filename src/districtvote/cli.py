@@ -122,6 +122,21 @@ def _get_range(block: dict, name: str, default: tuple[int, int]) -> tuple[int, i
     return int(raw[0]), int(raw[1])
 
 
+def _integer(raw, what: str) -> int:
+    if not isinstance(raw, int) or isinstance(raw, bool):
+        raise ConfigError(f"{what} must be an integer")
+    return raw
+
+
+def _number(raw, what: str) -> float:
+    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
+        raise ConfigError(f"{what} must be a number")
+    try:
+        return float(raw)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ConfigError(f"{what} must be finite") from exc
+
+
 _GENERATOR_KEYS = {"kind", "n-range", "n_range", "m-range", "m_range",
                    "k-range", "k_range", "trials", "seed", "low", "high", "dim"}
 _CONFIG_KEYS = {"mechanisms", "objectives", "generator", "families",
@@ -167,9 +182,9 @@ def load_config(path: str) -> ExperimentConfig:
         n_range=_get_range(gen_block, "n", (2, 16)),
         m_range=_get_range(gen_block, "m", (2, 6)),
         k_range=_get_range(gen_block, "k", (1, 4)),
-        low=float(gen_block.get("low", 0.0)),
-        high=float(gen_block.get("high", 1.0)),
-        dim=int(gen_block.get("dim", 2)),
+        low=_number(gen_block.get("low", 0.0), "generator.low"),
+        high=_number(gen_block.get("high", 1.0), "generator.high"),
+        dim=_integer(gen_block.get("dim", 2), "generator.dim"),
     )
     try:
         generator.validate()
@@ -186,9 +201,8 @@ def load_config(path: str) -> ExperimentConfig:
     bounds = data.get("bounds", {})
     if not isinstance(bounds, dict):
         raise ConfigError("'bounds' must map 'mechanism|objective' to numbers")
-    for key, value in bounds.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"bound override {key!r} must be a number")
+    bounds = {str(key): _number(value, f"bound override {key!r}")
+              for key, value in bounds.items()}
 
     output = data.get("output", {})
     if not isinstance(output, dict):
@@ -196,6 +210,9 @@ def load_config(path: str) -> ExperimentConfig:
     out_format = output.get("format", "csv")
     if out_format not in ("csv", "json"):
         raise ConfigError("output.format must be 'csv' or 'json'")
+    out_path = output.get("path")
+    if out_path is not None and not isinstance(out_path, str):
+        raise ConfigError("output.path must be a string")
 
     return ExperimentConfig(
         mechanisms=[str(s) for s in mechanisms],
@@ -204,10 +221,10 @@ def load_config(path: str) -> ExperimentConfig:
         trials=trials,
         seed=seed,
         families=[str(f) for f in families],
-        fib_index=int(data.get("fib_index", 10)),
-        family_x=int(data.get("family_x", 2)),
-        bounds={str(k): float(v) for k, v in bounds.items()},
-        out_path=output.get("path"),
+        fib_index=_integer(data.get("fib_index", 10), "fib_index"),
+        family_x=_integer(data.get("family_x", 2), "family_x"),
+        bounds=bounds,
+        out_path=out_path,
         out_format=out_format,
     )
 

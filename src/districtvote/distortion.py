@@ -15,9 +15,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GeneratorError, NotLineMetric
+# the public builders stay bound here for perfbench/spans.py, which wraps them
 from .instances import (
+    LINE,
     Instance,
+    _consecutive_ids,
     _line_instance_from_ids,
+    _trusted_instance,
     build_euclidean_instance,
     build_line_instance,
     instance_from_json,
@@ -64,7 +68,7 @@ def evaluate(mechanism: Mechanism, instance: Instance,
         optimal_cost=optimal_cost,
         ratio=ratio,
         infinite=infinite,
-        alternative_costs=tuple(float(c) for c in costs),
+        alternative_costs=tuple(costs.tolist()),
     )
 
 
@@ -119,6 +123,9 @@ class GeneratorSpec:
                                       ("k", self.k_range, 1)):
             if lo > hi or lo < least:
                 raise GeneratorError(f"bad {name}_range ({lo}, {hi})")
+        if not all(math.isfinite(v) for v in (self.low, self.high,
+                                              self.high - self.low)):
+            raise GeneratorError("generator low, high and high - low must be finite")
         if not (self.low < self.high):
             raise GeneratorError("generator needs low < high")
         if self.kind == "euclidean" and self.dim < 1:
@@ -139,21 +146,12 @@ def random_instance(rng: np.random.Generator, spec: GeneratorSpec) -> Instance:
     else:
         cuts = np.sort(rng.choice(np.arange(1, n), size=k - 1, replace=False))
         sizes = np.diff(np.concatenate([[0], cuts, [n]])).tolist()
-    if spec.kind == "line":
-        agents = rng.uniform(spec.low, spec.high, n)
-        alts = rng.uniform(spec.low, spec.high, m)
-        blocks, start = [], 0
-        for s in sizes:
-            blocks.append(agents[start:start + s].tolist())
-            start += s
-        return build_line_instance(blocks, alts.tolist())
-    agents = rng.uniform(spec.low, spec.high, (n, spec.dim))
-    alts = rng.uniform(spec.low, spec.high, (m, spec.dim))
-    blocks, start = [], 0
-    for s in sizes:
-        blocks.append(agents[start:start + s].tolist())
-        start += s
-    return build_euclidean_instance(blocks, alts.tolist())
+    # a validated spec's box is finite and its districts consecutive, so the
+    # instance needs no checks
+    shape = (n,) if spec.kind == LINE else (n, spec.dim)
+    agents = rng.uniform(spec.low, spec.high, shape)
+    alts = rng.uniform(spec.low, spec.high, (m,) + shape[1:])
+    return _trusted_instance(spec.kind, agents, _consecutive_ids(sizes), alts)
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -205,8 +203,9 @@ def sweep_cells(cells: Sequence[tuple[Mechanism, ComposedObjective]],
 
     Trial i draws one instance from a generator seeded by the pair (seed, i)
     and every cell evaluates that instance, so each cell's result equals a
-    sweep of that cell alone, while the draw, the build and the instance's
-    cached profile, line axis and district arrays are paid once per trial.
+    sweep of that cell alone, while the draw, the build and everything the
+    instance caches (district aggregates per inner objective, ordinal
+    representatives per in-rule, profile, line axis) are paid once per trial.
     Each cell keeps its first worst instance in trial order.
     """
     spec = generator if generator is not None else GeneratorSpec()
@@ -260,10 +259,12 @@ def hill_climb(mechanism: Mechanism, objective: ComposedObjective,
     if steps < 0:
         raise GeneratorError("steps must be nonnegative")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
-    districts = [list(d) for d in init.districts]
 
     def build(agent_pos: np.ndarray, alt_pos: np.ndarray) -> Instance:
-        return _line_instance_from_ids(agent_pos, districts, alt_pos)
+        # init's districts are canonical; only a perturbation can go bad
+        if not (np.isfinite(agent_pos).all() and np.isfinite(alt_pos).all()):
+            raise ValueError("coordinates and distances must be finite")
+        return _trusted_instance(LINE, agent_pos, init.districts, alt_pos)
 
     def ratio_of(inst: Instance) -> float:
         return evaluate(mechanism, inst, objective).ratio

@@ -14,6 +14,18 @@ package needs (agent-to-alternative and alternative-to-alternative) are
 precomputed and frozen. Ordinal preference profiles are derived from the
 metric with a canonical tie-break: an agent ranks alternatives by distance,
 and equidistant alternatives by ascending alternative id.
+
+Everything derived from an instance is computed once and kept in the
+instance's own cache, which lives and dies with it: the ordinal profile,
+the line axis, the district id arrays, the alternatives' rankings and the
+content key here; the (k, m) district aggregates of each inner objective
+(``objectives.district_aggregates``, keyed by the objective's identity) and
+each ordinal in-rule's representatives (``mechanisms.run``, keyed by the
+rule). Every mechanism and objective evaluated on one instance shares them.
+
+The public builders check everything they are given. Instances the package
+generates itself (random draws, hill-climbing rebuilds) go through
+``_trusted_instance``, which skips the checks and copies.
 """
 
 from __future__ import annotations
@@ -239,21 +251,66 @@ def _canonical_districts(districts) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(int(a) for a in d)) for d in districts)
 
 
-def _make_instance(metric: Metric, districts, num_agents: int, num_alternatives: int,
-                   agent_alt: np.ndarray, alt_alt: np.ndarray) -> Instance:
-    if num_alternatives < 1:
-        raise NoAlternatives("an instance needs at least one alternative")
-    _validate_districts(districts, num_agents)
+def _consecutive_ids(sizes: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Districts of consecutive agent ids with the given sizes."""
+    districts, start = [], 0
+    for s in sizes:
+        districts.append(tuple(range(start, start + s)))
+        start += s
+    return tuple(districts)
+
+
+def _assemble(metric: Metric, agent_alt: np.ndarray, alt_alt: np.ndarray,
+              districts: tuple[tuple[int, ...], ...]) -> Instance:
     agent_alt.flags.writeable = False
     alt_alt.flags.writeable = False
+    num_agents, num_alternatives = agent_alt.shape
     return Instance(
         num_agents=num_agents,
         num_alternatives=num_alternatives,
-        districts=_canonical_districts(districts),
+        districts=districts,
         metric=metric,
         agent_alt=agent_alt,
         alt_alt=alt_alt,
     )
+
+
+def _make_instance(metric: Metric, agent_alt: np.ndarray, alt_alt: np.ndarray,
+                   districts) -> Instance:
+    _validate_districts(districts, agent_alt.shape[0])
+    return _assemble(metric, agent_alt, alt_alt, _canonical_districts(districts))
+
+
+def _line_parts(agent_pos: np.ndarray, alt_pos: np.ndarray):
+    """The metric and the two distance blocks of line positions."""
+    metric = Metric(kind=LINE, agent_points=agent_pos, alternative_points=alt_pos)
+    return (metric, np.abs(agent_pos[:, None] - alt_pos[None, :]),
+            np.abs(alt_pos[:, None] - alt_pos[None, :]))
+
+
+def _euclidean_parts(agent_xy: np.ndarray, alt_xy: np.ndarray):
+    """The metric and the two distance blocks of euclidean coordinates."""
+    metric = Metric(kind=EUCLIDEAN, agent_points=agent_xy, alternative_points=alt_xy)
+    return (metric,
+            np.linalg.norm(agent_xy[:, None, :] - alt_xy[None, :, :], axis=2),
+            np.linalg.norm(alt_xy[:, None, :] - alt_xy[None, :, :], axis=2))
+
+
+def _trusted_instance(kind: str, agent_points: np.ndarray,
+                      districts: tuple[tuple[int, ...], ...],
+                      alternative_points: np.ndarray) -> Instance:
+    """A line or euclidean instance assembled without checks or copies.
+
+    Only for instances the package generates itself. The caller vouches
+    that the points are finite float64 arrays (shape (n,) on a line,
+    (n, dim) in euclidean space) and that ``districts`` is already canonical:
+    sorted id tuples partitioning the agents. The point arrays become
+    read-only here, so the caller must not write to them afterwards.
+    """
+    agent_points.flags.writeable = False
+    alternative_points.flags.writeable = False
+    parts = _line_parts if kind == LINE else _euclidean_parts
+    return _assemble(*parts(agent_points, alternative_points), districts)
 
 
 def _line_instance_from_ids(agent_positions: np.ndarray, districts,
@@ -262,24 +319,17 @@ def _line_instance_from_ids(agent_positions: np.ndarray, districts,
     alt_pos = _freeze(alternative_positions, ndim=1)
     if alt_pos.size == 0:
         raise NoAlternatives("an instance needs at least one alternative")
-    metric = Metric(kind=LINE, agent_points=agent_pos, alternative_points=alt_pos)
-    agent_alt = np.abs(agent_pos[:, None] - alt_pos[None, :])
-    alt_alt = np.abs(alt_pos[:, None] - alt_pos[None, :])
-    return _make_instance(metric, districts, agent_pos.size, alt_pos.size,
-                          agent_alt, alt_alt)
+    return _make_instance(*_line_parts(agent_pos, alt_pos), districts)
 
 
-def _consecutive_districts(blocks: Sequence[Sequence]) -> list[list[int]]:
+def _consecutive_districts(blocks: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:
     """Districts of consecutive agent ids, one per non-empty block."""
     if not blocks:
         raise EmptyDistrict("an instance needs at least one district")
-    districts, start = [], 0
     for d, block in enumerate(blocks):
         if len(block) == 0:
             raise EmptyDistrict(f"district {d} has no agents")
-        districts.append(list(range(start, start + len(block))))
-        start += len(block)
-    return districts
+    return _consecutive_ids([len(block) for block in blocks])
 
 
 def build_line_instance(agent_positions_by_district: Sequence[Sequence[float]],
@@ -308,11 +358,7 @@ def _euclidean_instance_from_ids(agent_coords: np.ndarray, districts,
         raise ValueError("euclidean coordinates need dimension >= 1")
     if agent_xy.shape[1] != alt_xy.shape[1]:
         raise ValueError("agent and alternative coordinate dimensions differ")
-    metric = Metric(kind=EUCLIDEAN, agent_points=agent_xy, alternative_points=alt_xy)
-    agent_alt = np.linalg.norm(agent_xy[:, None, :] - alt_xy[None, :, :], axis=2)
-    alt_alt = np.linalg.norm(alt_xy[:, None, :] - alt_xy[None, :, :], axis=2)
-    return _make_instance(metric, districts, agent_xy.shape[0], alt_xy.shape[0],
-                          agent_alt, alt_alt)
+    return _make_instance(*_euclidean_parts(agent_xy, alt_xy), districts)
 
 
 def build_euclidean_instance(agent_coords_by_district: Sequence[Sequence[Sequence[float]]],
@@ -359,8 +405,7 @@ def _explicit_instance_from_ids(mat: np.ndarray, districts, num_agents: int,
     metric = Metric(kind=EXPLICIT, matrix=mat)
     agent_alt = mat[:num_agents, num_agents:].copy()
     alt_alt = mat[num_agents:, num_agents:].copy()
-    return _make_instance(metric, districts, num_agents, num_alternatives,
-                          agent_alt, alt_alt)
+    return _make_instance(metric, agent_alt, alt_alt, districts)
 
 
 def build_explicit_instance(distances: Sequence[Sequence[float]],
@@ -388,12 +433,8 @@ def build_explicit_instance(distances: Sequence[Sequence[float]],
             f"alternatives {num_alternatives}"
         )
     _validate_distance_matrix(mat)
-    districts = []
-    start = 0
-    for s in sizes:
-        districts.append(list(range(start, start + s)))
-        start += s
-    return _explicit_instance_from_ids(mat, districts, num_agents, num_alternatives)
+    return _explicit_instance_from_ids(mat, _consecutive_ids(sizes), num_agents,
+                                       num_alternatives)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ single district the two steps collapse: the representative is the winner.
 
 The over step can offer the full alternative set (the default) or only the
 representatives themselves. Ordinal rules receive derived rankings only;
-cardinal rules receive distance blocks. Factories are provided for the
-named mechanisms: plain composition, composition through an arbitrary over
+cardinal rules receive distance blocks, or, in the in-step, the rows of the
+instance's cached district aggregates. The in-step's work is kept on the
+instance, so mechanisms sharing an in-rule or its inner objective share it.
+Factories are provided for the named mechanisms: plain composition, composition through an arbitrary over
 step, dictator-then-median on a line, and the threshold-acceptance line
 mechanism (pick the rightmost acceptable alternative per district, then the
 leftmost representative). ``claimed_bound`` reads every bound this package
@@ -42,6 +44,7 @@ from .objectives import (
     MONOTONE,
     SUBADDITIVE,
     check_single_peaked,
+    district_aggregates,
     is_power_mean,
     parse_inner,
     run_property_checks,
@@ -62,8 +65,8 @@ REPRESENTATIVES_ONLY = "representatives-only"
 
 
 def _acceptable(values: np.ndarray, lam: float) -> np.ndarray:
-    """Indices of the values within a factor ``lam`` of the smallest."""
-    return np.flatnonzero(values <= lam * values.min() * (1 + ACCEPT_SLACK))
+    """Mask of the values within a factor ``lam`` of the smallest."""
+    return values <= lam * values.min() * (1 + ACCEPT_SLACK)
 
 
 # ---------------------------------------------------------------------------
@@ -136,17 +139,20 @@ class ThresholdSelectRule:
     def name(self) -> str:
         return f"threshold:{self.lam:g},{self.inner.spec}"
 
+    def choose(self, values: np.ndarray, candidates: np.ndarray,
+               positions: np.ndarray | None) -> int:
+        """The rightmost candidate whose inner aggregate is acceptable."""
+        if positions is None:
+            raise NotLineMetric("threshold rule needs line positions")
+        # argmax keeps the first, lowest-index, of equally right positions
+        pos = np.where(_acceptable(values, self.lam), positions, -np.inf)
+        return int(candidates[int(np.argmax(pos))])
+
     def select_cardinal(self, dist: np.ndarray, candidates: np.ndarray,
                         positions: np.ndarray | None) -> int:
         if dist.shape[0] == 0:
             raise EmptyVoterSet("threshold rule needs at least one voter")
-        if positions is None:
-            raise NotLineMetric("threshold rule needs line positions")
-        values = self.inner.over_columns(dist)
-        acceptable = _acceptable(values, self.lam)
-        pos = positions[acceptable]
-        rightmost = acceptable[np.flatnonzero(pos == pos.max())[0]]
-        return int(candidates[rightmost])
+        return self.choose(self.inner.over_columns(dist), candidates, positions)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +211,7 @@ def compose(in_rule, over_rule,
 
 def _select_in(rule, instance: Instance, members: np.ndarray,
                profile: OrdinalProfile | None) -> int:
+    """One district's representative, from its own distances or rankings."""
     if rule.info == CARDINAL:
         return rule.select_cardinal(
             instance.agent_alt[members],
@@ -212,6 +219,34 @@ def _select_in(rule, instance: Instance, members: np.ndarray,
             instance.alternative_positions,
         )
     return rule.select_ordinal(profile.restrict(members.tolist()))
+
+
+def _representatives(rule, instance: Instance) -> tuple[int, ...]:
+    """The in-step: one representative per district.
+
+    A cardinal rule with a ``choose`` core decides on the rows of the
+    instance's cached district aggregates of its inner objective; any other
+    cardinal rule gets each district's distance block. An ordinal rule's
+    representatives are cached on the instance, keyed by the rule (ordinal
+    rules are hashable values, and equal rules pick alike), so every
+    mechanism with that in-rule runs it once per instance.
+    """
+    districts = instance.district_arrays()
+    if rule.info == CARDINAL:
+        if not hasattr(rule, "choose"):
+            return tuple(_select_in(rule, instance, members, None)
+                         for members in districts)
+        candidates = np.arange(instance.num_alternatives)
+        positions = instance.alternative_positions
+        return tuple(rule.choose(values, candidates, positions)
+                     for values in district_aggregates(instance, rule.inner))
+    cache = instance._cache
+    key = ("representatives", rule)
+    if key not in cache:
+        profile = instance.profile()
+        cache[key] = tuple(_select_in(rule, instance, members, profile)
+                           for members in districts)
+    return cache[key]
 
 
 def _pseudo_profile(instance: Instance, reps: Sequence[int],
@@ -234,14 +269,7 @@ def run(mechanism: Mechanism, instance: Instance) -> MechanismTrace:
         raise NotLineMetric(
             f"mechanism {mechanism.spec!r} runs only on line instances"
         )
-    needs_profile = (mechanism.in_rule.info == ORDINAL
-                     or mechanism.over_rule.info == ORDINAL)
-    profile = instance.profile() if needs_profile else None
-
-    reps = tuple(
-        _select_in(mechanism.in_rule, instance, members, profile)
-        for members in instance.district_arrays()
-    )
+    reps = _representatives(mechanism.in_rule, instance)
     all_alts = tuple(range(instance.num_alternatives))
 
     if len(reps) == 1:
@@ -263,7 +291,7 @@ def run(mechanism: Mechanism, instance: Instance) -> MechanismTrace:
         winner = over.select_ordinal(pseudo, reps)
 
     return MechanismTrace(reps, int(winner),
-                          (all_alts, tuple(int(c) for c in candidates)))
+                          (all_alts, tuple(candidates.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +327,8 @@ def lambda_acceptable_set(instance: Instance, district: int,
         raise LambdaBelowOne(f"threshold {lam} must be >= 1")
     if not (0 <= district < instance.num_districts):
         raise IndexOutOfRange(f"district {district} out of range")
-    members = instance.district_arrays()[district]
-    values = inner.over_columns(instance.agent_alt[members])
-    return tuple(int(a) for a in _acceptable(values, lam))
+    values = district_aggregates(instance, inner)[district]
+    return tuple(np.flatnonzero(_acceptable(values, lam)).tolist())
 
 
 #: Fixed line configurations used to probe single-peakedness of custom inners.

@@ -11,6 +11,11 @@ Custom inner aggregators participate if they behave like a cost: the
 property checks in this module probe monotonicity, subadditivity (with
 scaling), consistency on constant vectors, and single-peakedness of the
 induced cost along a line.
+
+Every cost here reads the instance's district aggregates
+(:func:`district_aggregates`), computed once per instance and inner
+objective, so ``cost``, ``inner_cost`` and ``cost_vector`` agree bit for bit
+and objectives sharing an inner objective share that work.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ class InnerObjective:
     ``fn`` (vector -> float), may declare the cost-like properties they
     satisfy, and may supply ``columns_fn`` (matrix -> per-column values) to
     speed up batch evaluation. ``columns_fn`` must compute the same function
-    as ``fn`` on every column: mechanisms, ``cost_vector`` and the property
+    as ``fn`` on every column: mechanisms, every cost and the property
     checks all evaluate through ``over_columns``.
     """
 
@@ -83,10 +88,6 @@ class OuterObjective:
     """Combines per-district numbers; only average and maximum exist."""
 
     kind: str
-
-    def value(self, v: np.ndarray) -> float:
-        v = np.asarray(v, dtype=np.float64)
-        return float(v.mean()) if self.kind == AVG_KIND else float(v.max())
 
     def over_rows(self, mat: np.ndarray) -> np.ndarray:
         mat = np.asarray(mat, dtype=np.float64)
@@ -162,6 +163,27 @@ def is_power_mean(inner: InnerObjective) -> bool:
 # cost evaluation
 # ---------------------------------------------------------------------------
 
+def district_aggregates(instance: Instance, inner: InnerObjective) -> np.ndarray:
+    """Read-only (k, m) matrix: row d is ``inner`` over district d's
+    distances to each alternative.
+
+    Computed once per instance and inner objective and kept in the
+    instance's cache, keyed by the objective's identity: ``InnerObjective``
+    equality ignores ``fn``, so two custom inners can compare equal and
+    still differ. The entry holds the objective, so its id stays unique
+    while the instance lives.
+    """
+    cache = instance._cache.setdefault("district_aggregates", {})
+    entry = cache.get(id(inner))
+    if entry is None:
+        values = np.empty((instance.num_districts, instance.num_alternatives))
+        for d, members in enumerate(instance.district_arrays()):
+            values[d] = inner.over_columns(instance.agent_alt[members])
+        values.flags.writeable = False
+        entry = cache[id(inner)] = (inner, values)
+    return entry[1]
+
+
 def inner_cost(instance: Instance, district: int, inner: InnerObjective,
                alternative: int) -> float:
     """Inner aggregate of one district's distances to one alternative."""
@@ -169,27 +191,19 @@ def inner_cost(instance: Instance, district: int, inner: InnerObjective,
         raise IndexOutOfRange(f"district {district} out of range")
     if not (0 <= alternative < instance.num_alternatives):
         raise IndexOutOfRange(f"alternative {alternative} out of range")
-    members = instance.district_arrays()[district]
-    return inner.value(instance.agent_alt[members, alternative])
+    return float(district_aggregates(instance, inner)[district, alternative])
 
 
 def cost(instance: Instance, objective: ComposedObjective, alternative: int) -> float:
-    """Composed cost of one alternative."""
+    """Composed cost of one alternative; equal to its ``cost_vector`` entry."""
     if not (0 <= alternative < instance.num_alternatives):
         raise IndexOutOfRange(f"alternative {alternative} out of range")
-    per_district = np.array([
-        objective.inner.value(instance.agent_alt[members, alternative])
-        for members in instance.district_arrays()
-    ])
-    return objective.outer.value(per_district)
+    return float(cost_vector(instance, objective)[alternative])
 
 
 def cost_vector(instance: Instance, objective: ComposedObjective) -> np.ndarray:
     """Composed cost of every alternative at once."""
-    per_district = np.empty((instance.num_districts, instance.num_alternatives))
-    for d, members in enumerate(instance.district_arrays()):
-        per_district[d] = objective.inner.over_columns(instance.agent_alt[members])
-    return objective.outer.over_rows(per_district)
+    return objective.outer.over_rows(district_aggregates(instance, objective.inner))
 
 
 def optimal_alternative(instance: Instance,

@@ -1,10 +1,13 @@
 """Single-winner voting rules used inside and across districts.
 
 Two information models exist. Cardinal rules see a distance block
-(voters x candidates). Ordinal rules see only an :class:`OrdinalProfile`
-restricted to their electorate -- rankings plus, on line metrics, the
-left-to-right order of alternatives -- and never raw distances; the call
-signatures enforce this.
+(voters x candidates); one that aggregates with a fixed inner objective
+also offers ``choose(values, candidates, positions)``, its decision on the
+per-candidate aggregates alone, so a mechanism can hand it an instance's
+cached district aggregates instead of a block. Ordinal rules see only an
+:class:`OrdinalProfile` restricted to their electorate -- rankings plus, on
+line metrics, the left-to-right order of alternatives -- and never raw
+distances; the call signatures enforce this.
 
 All four rules here are unanimous: when every voter ranks the same
 alternative first, that alternative wins.
@@ -48,7 +51,8 @@ def optimal_rule(instance: Instance, voters: Iterable[int],
         if not (0 <= v < instance.num_agents):
             raise IndexOutOfRange(f"voter {v} out of range")
     values = inner.over_columns(instance.agent_alt[np.array(ids)])
-    return int(np.argmin(values))
+    return OptimalRule(inner).choose(values, np.arange(instance.num_alternatives),
+                                     None)
 
 
 def median_line_rule(profile: OrdinalProfile,
@@ -147,12 +151,16 @@ class OptimalRule:
     unanimous: ClassVar[bool] = True
     line_only: ClassVar[bool] = False
 
+    def choose(self, values: np.ndarray, candidates: np.ndarray,
+               positions: np.ndarray | None) -> int:
+        """The candidate of least inner aggregate ``values``; ties: lowest index."""
+        return int(candidates[int(np.argmin(values))])
+
     def select_cardinal(self, dist: np.ndarray, candidates: np.ndarray,
                         positions: np.ndarray | None) -> int:
         if dist.shape[0] == 0:
             raise EmptyVoterSet("optimal rule needs at least one voter")
-        values = self.inner.over_columns(dist)
-        return int(candidates[int(np.argmin(values))])
+        return self.choose(self.inner.over_columns(dist), candidates, positions)
 
 
 @dataclass(frozen=True)

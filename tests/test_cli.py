@@ -1,6 +1,7 @@
 """Command line interface: subcommands, artifacts, exit codes."""
 
 import csv
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -420,6 +421,52 @@ def test_verify_bounds_invalid_configs(capsys, tmp_path, mutation):
                            write_config(tmp_path, **mutation))
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("mutation, message", [
+    ({"generator": {"seed": 0, "low": [0]}}, "generator.low must be a number"),
+    ({"generator": {"seed": 0, "high": "1"}}, "generator.high must be a number"),
+    ({"generator": {"seed": 0, "kind": "euclidean", "dim": [2]}},
+     "generator.dim must be an integer"),
+    ({"fib_index": [3]}, "fib_index must be an integer"),
+    ({"family_x": 2.5}, "family_x must be an integer"),
+    ({"output": {"path": 5}}, "output.path must be a string"),
+    ({"generator": {"seed": 0, "low": -10 ** 400}}, "generator.low must be finite"),
+    ({"bounds": {"arl:2|max.max": 10 ** 400}},
+     "bound override 'arl:2|max.max' must be finite"),
+    ({"generator": {"seed": 0, "low": -1e308, "high": 1e308}},
+     "generator low, high and high - low must be finite"),
+])
+def test_verify_bounds_wrong_typed_or_unbounded_config(capsys, tmp_path, mutation,
+                                                       message):
+    code, out, err = run_cli(capsys, "verify-bounds", "--config",
+                             write_config(tmp_path, **mutation))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+GOLDEN = Path(__file__).parent / "data" / "verify_bounds_golden.json"
+
+
+def _witnesses_digest(out_dir: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted(p for p in out_dir.rglob("*")
+                       if p.is_file() and p != out_dir / "bounds.csv"):
+        digest.update(path.relative_to(out_dir).as_posix().encode() + b"\0"
+                      + path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+def test_verify_bounds_default_artifacts_match_recorded_digests(capsys, tmp_path):
+    # the default experiment's CSV and witness files, byte for byte
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(capsys, *golden["argv"], "--out", str(out_dir))
+    assert code == 0, err
+    csv_bytes = (out_dir / "bounds.csv").read_bytes()
+    assert hashlib.sha256(csv_bytes).hexdigest() == golden["bounds_csv_sha256"]
+    assert _witnesses_digest(out_dir) == golden["witnesses_sha256"]
 
 
 def test_verify_bounds_malformed_json(capsys, tmp_path):

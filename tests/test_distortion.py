@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import districtvote as dv
+from districtvote import cli
+from districtvote.tolerances import ACCEPT_SLACK
 
 EXACT = 1e-12
 
@@ -99,6 +101,10 @@ def test_generator_spec_defaults_validate():
     {"low": 1.0, "high": 1.0},
     {"low": 2.0, "high": 0.0},
     {"kind": "euclidean", "dim": 0},
+    {"low": -math.inf},
+    {"high": math.inf},
+    {"low": math.nan},
+    {"low": -1e308, "high": 1e308},
 ])
 def test_generator_spec_rejects(kwargs):
     with pytest.raises(dv.GeneratorError):
@@ -362,6 +368,157 @@ def test_sweep_cells_no_cells_and_bad_arguments():
 
 
 # ---------------------------------------------------------------------------
+# per-instance caches against the uncached per-district path
+# ---------------------------------------------------------------------------
+
+def reference_select_cardinal(rule, dist, candidates, positions):
+    """Test-only oracle of the built-in cardinal rules on a distance block."""
+    if isinstance(rule, (dv.OptimalRule, dv.ThresholdSelectRule)):
+        values = rule.inner.over_columns(dist)
+        if isinstance(rule, dv.OptimalRule):
+            return int(candidates[int(np.argmin(values))])
+        acceptable = np.flatnonzero(
+            values <= rule.lam * values.min() * (1 + ACCEPT_SLACK))
+        pos = positions[acceptable]
+        return int(candidates[acceptable[np.flatnonzero(pos == pos.max())[0]]])
+    return rule.select_cardinal(dist, candidates, positions)
+
+
+def reference_run(mechanism, instance):
+    """Test-only oracle: the two-step run with nothing shared or cached.
+
+    Every district's representative comes from its own distance block or
+    its own rows of a freshly derived profile; the over step is spelled out.
+    Returns the representatives and the winner.
+    """
+    in_rule, over = mechanism.in_rule, mechanism.over_rule
+    everyone = np.arange(instance.num_alternatives)
+    positions = instance.alternative_positions
+    profile = dv.ordinal_profile(instance)
+    reps = []
+    for members in instance.district_arrays():
+        if in_rule.info == dv.CARDINAL:
+            reps.append(reference_select_cardinal(
+                in_rule, instance.agent_alt[members], everyone, positions))
+        else:
+            reps.append(in_rule.select_ordinal(profile.restrict(members.tolist())))
+    reps = tuple(int(r) for r in reps)
+    if len(reps) == 1:
+        return reps, reps[0]
+    candidates = (np.array(sorted(set(reps)))
+                  if mechanism.selection_mode == dv.REPRESENTATIVES_ONLY
+                  else everyone)
+    if over.info == dv.CARDINAL:
+        winner = reference_select_cardinal(
+            over, instance.alt_alt[np.ix_(reps, candidates)], candidates,
+            None if positions is None else positions[candidates])
+    else:
+        rows = np.argsort(instance.alt_alt[list(reps)], axis=1, kind="stable")
+        rows = rows[np.isin(rows, candidates)].reshape(len(reps), candidates.size)
+        axis = instance.line_axis()
+        if axis is not None:
+            axis = tuple(a for a in axis if a in set(candidates.tolist()))
+        winner = over.select_ordinal(dv.OrdinalProfile(rows, axis, None), reps)
+    return reps, int(winner)
+
+
+def reference_cost_vector(instance, objective):
+    """Test-only oracle: composed costs from per-district distance blocks."""
+    per_district = np.array([objective.inner.over_columns(instance.agent_alt[members])
+                             for members in instance.district_arrays()])
+    return objective.outer.over_rows(per_district)
+
+
+def _explicit_from_points(inst):
+    """The same agents and alternatives as an explicit distance matrix."""
+    points = np.concatenate([inst.metric.agent_points,
+                             inst.metric.alternative_points])
+    if points.ndim == 1:
+        points = points[:, None]
+    mat = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
+    return dv.build_explicit_instance(mat, [len(d) for d in inst.districts],
+                                      inst.num_alternatives)
+
+
+def _shared_instances():
+    line = dv.GeneratorSpec(n_range=(2, 12), k_range=(2, 4))
+    euclid = dv.GeneratorSpec(kind="euclidean", dim=2, n_range=(3, 10),
+                              m_range=(2, 5), k_range=(2, 3))
+    drawn = [dv.random_instance(_trial_rng(21, i), line) for i in range(4)]
+    drawn += [dv.random_instance(_trial_rng(22, i), euclid) for i in range(3)]
+    drawn.append(_explicit_from_points(drawn[-1]))
+    drawn.append(dv.build_line_instance([[0.0, 1.0], [1.0, 2.0]], [0.0, 1.0, 2.0]))
+    # co-located alternatives: position ties must go to the lowest id
+    drawn.append(dv.build_line_instance([[0.2, 0.9], [1.5, 2.0], [0.1]],
+                                        [1.0, 0.0, 1.0, 2.0, 2.0]))
+    return drawn
+
+
+DEFAULT_CELLS = [(m, o) for m in cli.DEFAULT_MECHANISMS
+                 for o in cli.DEFAULT_OBJECTIVES]
+
+
+def _check_cells_on_shared(instance, cells, rng):
+    """Evaluate the cells on one instance in a shuffled order; compare each
+    with the oracles run on an uncached copy of the instance."""
+    fresh = dv.instance_from_json(dv.instance_to_json(instance))
+    checked = 0
+    for c in rng.permutation(len(cells)):
+        mechanism, objective = cells[c]
+        if mechanism.line_only and not instance.is_line:
+            continue
+        reps, winner = reference_run(mechanism, fresh)
+        costs = reference_cost_vector(fresh, objective)
+        report = dv.evaluate(mechanism, instance, objective)
+        assert report.trace.representatives == reps, (mechanism.spec, objective.spec)
+        assert report.winner == winner, (mechanism.spec, objective.spec)
+        assert report.alternative_costs == tuple(costs.tolist()), objective.spec
+        checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("order_seed", [0, 1, 2])
+def test_cached_runs_match_uncached_path_on_default_cells(order_seed):
+    cells = [(make(m, o), dv.parse_objective(o)) for m, o in DEFAULT_CELLS]
+    # a duck-typed cardinal in-rule, which reads distance blocks
+    cells.append((dv.Mechanism(WorstCardinalRule(), dv.OptimalRule(dv.AVG)),
+                  dv.parse_objective("avg.avg")))
+    rng = np.random.default_rng(order_seed)
+    kinds = set()
+    for instance in _shared_instances():
+        assert _check_cells_on_shared(instance, cells, rng) > 0
+        kinds.add(instance.metric.kind)
+    assert kinds == {dv.LINE, dv.EUCLIDEAN, dv.EXPLICIT}
+
+
+def test_custom_inners_sharing_a_name_keep_separate_cache_entries():
+    mean_twin = dv.InnerObjective(kind="custom", name="twin",
+                                  fn=lambda v: float(np.mean(v)))
+    max_twin = dv.InnerObjective(kind="custom", name="twin",
+                                 fn=lambda v: float(np.max(v)))
+    assert mean_twin == max_twin
+    outer_max = dv.InnerObjective(kind="max", name="max")
+    cells = []
+    for inner in (mean_twin, max_twin):
+        objective = dv.ComposedObjective(dv.parse_objective("max.max").outer, inner)
+        cells += [(dv.compose(dv.OptimalRule(inner), dv.OptimalRule(outer_max)),
+                   objective),
+                  (dv.Mechanism(dv.ThresholdSelectRule(2.0, inner),
+                                dv.LeftmostRepRule()), objective)]
+    # agents 0-2 make mean and max disagree on district 0's best alternative
+    instance = dv.build_line_instance([[0.0, 0.1, 1.0], [2.0]], [0.1, 0.5, 2.0])
+    mean_costs = reference_cost_vector(instance, cells[0][1])
+    max_costs = reference_cost_vector(instance, cells[2][1])
+    assert not np.array_equal(mean_costs, max_costs)
+    for order_seed in range(4):
+        shared = dv.instance_from_json(dv.instance_to_json(instance))
+        _check_cells_on_shared(shared, cells, np.random.default_rng(order_seed))
+    mean_reps, _ = reference_run(cells[0][0], instance)
+    max_reps, _ = reference_run(cells[2][0], instance)
+    assert mean_reps != max_reps
+
+
+# ---------------------------------------------------------------------------
 # hill climbing
 # ---------------------------------------------------------------------------
 
@@ -406,6 +563,32 @@ def test_hill_climb_requires_line(euclid_small):
     objective = dv.parse_objective("avg.avg")
     with pytest.raises(dv.NotLineMetric):
         dv.hill_climb(mech, objective, euclid_small, steps=10)
+
+
+def test_hill_climb_rebuilds_match_the_public_builder():
+    mech = make("arl:2", "max.max")
+    objective = dv.parse_objective("max.max")
+    init = dv.random_instance(np.random.default_rng(3), dv.GeneratorSpec(
+        n_range=(8, 8), m_range=(4, 4), k_range=(3, 3)))
+    result = dv.hill_climb(mech, objective, init, steps=300, seed=2)
+    witness = result.witness
+    assert witness is not init
+    pos = witness.agent_positions
+    public = dv.build_line_instance([[float(pos[a]) for a in d]
+                                     for d in witness.districts],
+                                    witness.alternative_positions.tolist())
+    assert witness.agent_alt.tobytes() == public.agent_alt.tobytes()
+    assert witness.alt_alt.tobytes() == public.alt_alt.tobytes()
+    assert witness.districts == public.districts
+    assert witness.content_key() == public.content_key()
+    assert not witness.agent_positions.flags.writeable
+
+
+def test_hill_climb_rejects_nonfinite_perturbations(worked):
+    mech = make("compose:optimal,optimal", "avg.avg")
+    objective = dv.parse_objective("avg.avg")
+    with pytest.raises(ValueError, match="finite"):
+        dv.hill_climb(mech, objective, worked, steps=5, step_size=math.inf)
 
 
 def test_hill_climb_rejects_negative_steps(worked):

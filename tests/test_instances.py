@@ -238,6 +238,53 @@ def test_single_peaked_rankings_property(inst):
 
 
 # ---------------------------------------------------------------------------
+# trusted construction of generated instances
+# ---------------------------------------------------------------------------
+
+def public_random_instance(rng, spec):
+    """Test-only reference: the generator's draws, built by the public builders."""
+    n = int(rng.integers(spec.n_range[0], spec.n_range[1] + 1))
+    m = int(rng.integers(spec.m_range[0], spec.m_range[1] + 1))
+    k_hi = min(spec.k_range[1], n)
+    k = int(rng.integers(min(spec.k_range[0], k_hi), k_hi + 1))
+    cuts = (np.sort(rng.choice(np.arange(1, n), size=k - 1, replace=False))
+            if k > 1 else [])
+    if spec.kind == dv.LINE:
+        agents = rng.uniform(spec.low, spec.high, n)
+        alts = rng.uniform(spec.low, spec.high, m)
+        return dv.build_line_instance([b.tolist() for b in np.split(agents, cuts)],
+                                      alts.tolist())
+    agents = rng.uniform(spec.low, spec.high, (n, spec.dim))
+    alts = rng.uniform(spec.low, spec.high, (m, spec.dim))
+    return dv.build_euclidean_instance([b.tolist() for b in np.split(agents, cuts)],
+                                       alts.tolist())
+
+
+def assert_same_instance(got, want):
+    for name in ("agent_alt", "alt_alt"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert not a.flags.writeable
+    assert got.metric.agent_points.tobytes() == want.metric.agent_points.tobytes()
+    assert not got.metric.agent_points.flags.writeable
+    assert got.districts == want.districts
+    assert got.content_key() == want.content_key()
+
+
+@pytest.mark.parametrize("spec", [
+    dv.GeneratorSpec(),
+    dv.GeneratorSpec(n_range=(1, 20), m_range=(1, 7), k_range=(1, 6),
+                     low=-1e6, high=3e6),
+    dv.GeneratorSpec(kind="euclidean", dim=3, n_range=(2, 9), k_range=(1, 4)),
+], ids=["line", "line-wide", "euclidean"])
+def test_random_instance_equals_public_builders_on_same_draws(spec):
+    for seed in range(150):
+        got = dv.random_instance(np.random.default_rng(seed), spec)
+        assert_same_instance(got, public_random_instance(
+            np.random.default_rng(seed), spec))
+
+
+# ---------------------------------------------------------------------------
 # JSON round-trips
 # ---------------------------------------------------------------------------
 

@@ -154,6 +154,46 @@ def test_single_district_outer_equivalence(inst):
         assert np.allclose(a, b, atol=EXACT)
 
 
+def test_single_and_vector_costs_agree_exactly():
+    # cost, inner_cost and the acceptable sets read the same district
+    # aggregates as cost_vector, so they agree bit for bit
+    specs = ("avg.avg", "avg.max", "max.max", "max.avg", "max.pmean:2",
+             "avg.pmean:3")
+    spec = dv.GeneratorSpec(n_range=(2, 16), k_range=(1, 4))
+    for trial in range(300):
+        inst = dv.random_instance(np.random.default_rng([8, trial]), spec)
+        for name in specs:
+            objective = dv.parse_objective(name)
+            costs = dv.cost_vector(inst, objective)
+            assert [dv.cost(inst, objective, j)
+                    for j in range(inst.num_alternatives)] == costs.tolist()
+            aggregates = dv.district_aggregates(inst, objective.inner)
+            assert aggregates.shape == (inst.num_districts, inst.num_alternatives)
+            assert not aggregates.flags.writeable
+            for d, members in enumerate(inst.district_arrays()):
+                row = objective.inner.over_columns(inst.agent_alt[members])
+                assert aggregates[d].tolist() == row.tolist()
+                assert [dv.inner_cost(inst, d, objective.inner, j)
+                        for j in range(inst.num_alternatives)] == row.tolist()
+                acceptable = np.flatnonzero(row <= 2.0 * row.min() * (1 + 1e-12))
+                assert dv.lambda_acceptable_set(inst, d, objective.inner, 2.0) == \
+                    tuple(acceptable.tolist())
+
+
+def test_district_aggregates_are_cached_by_identity(worked):
+    mean_twin = dv.InnerObjective(kind="custom", name="twin",
+                                  fn=lambda v: float(np.mean(v)))
+    max_twin = dv.InnerObjective(kind="custom", name="twin",
+                                 fn=lambda v: float(np.max(v)))
+    assert mean_twin == max_twin
+    first = dv.district_aggregates(worked, mean_twin)
+    assert dv.district_aggregates(worked, mean_twin) is first
+    # the max twin gets its own entry, not the cached one of its equal
+    assert np.allclose(first, [[0.5, 1.3], [1.5, 0.2]], rtol=0, atol=EXACT)
+    assert np.allclose(dv.district_aggregates(worked, max_twin),
+                       [[0.5, 1.8], [1.5, 0.2]], rtol=0, atol=EXACT)
+
+
 # ---------------------------------------------------------------------------
 # property checks
 # ---------------------------------------------------------------------------
