@@ -47,7 +47,7 @@ from .errors import (
     UnknownField,
 )
 from .instances import load_instance, save_instance
-from .mechanisms import claimed_bound, parse_mechanism
+from .mechanisms import check_metric, claimed_bound, parse_mechanism
 from .objectives import (
     InnerObjective,
     CUSTOM_KIND,
@@ -132,9 +132,12 @@ def _number(raw, what: str) -> float:
     if not isinstance(raw, (int, float)) or isinstance(raw, bool):
         raise ConfigError(f"{what} must be a number")
     try:
-        return float(raw)
+        value = float(raw)
     except OverflowError as exc:  # an integer beyond the float range
         raise ConfigError(f"{what} must be finite") from exc
+    if not math.isfinite(value):  # json.load reads NaN and Infinity
+        raise ConfigError(f"{what} must be finite")
+    return value
 
 
 _GENERATOR_KEYS = {"kind", "n-range", "n_range", "m-range", "m_range",
@@ -304,8 +307,9 @@ def _family_applies(family_name: str, mechanism) -> bool:
 def run_verify_bounds(config: ExperimentConfig) -> list[VerifyRow]:
     """Evaluate every configured sweep cell and family certification.
 
-    The sweep cells share each trial's instance (``sweep_cells``); every
-    cell's row equals that of its own ``sweep``.
+    Every cell is parsed, and checked against the generator's metric,
+    before any sweeps. The sweep cells share each trial's instance
+    (``sweep_cells``); every cell's row equals that of its own ``sweep``.
     """
     rows: list[VerifyRow] = []
     out_dir = config.out_path
@@ -314,26 +318,20 @@ def run_verify_bounds(config: ExperimentConfig) -> list[VerifyRow]:
     line_metric = config.generator.kind == "line"
 
     cells, claims = [], []
-    parse_error = None
-    try:
-        for mech_spec in config.mechanisms:
-            for obj_spec in config.objectives:
-                objective = parse_objective(obj_spec)
-                mechanism = parse_mechanism(mech_spec, objective)
-                bound = config.bounds.get(f"{mech_spec}|{obj_spec}")
-                if bound is None:
-                    bound = claimed_bound(mechanism, objective, line=line_metric)
-                if bound is not None:
-                    cells.append((mechanism, objective))
-                    claims.append((mech_spec, obj_spec, float(bound)))
-    except _PARSE_ERRORS as exc:
-        # the cells before a bad spec still sweep first, so an error they
-        # raise (exit 3) is reported ahead of the bad spec (exit 2)
-        parse_error = exc
+    for mech_spec in config.mechanisms:
+        for obj_spec in config.objectives:
+            objective = parse_objective(obj_spec)
+            mechanism = parse_mechanism(mech_spec, objective)
+            bound = config.bounds.get(f"{mech_spec}|{obj_spec}")
+            if bound is None:
+                bound = claimed_bound(mechanism, objective, line=line_metric)
+            if bound is not None:
+                # a bound override can put a line-only cell on other draws
+                check_metric(mechanism, line_metric)
+                cells.append((mechanism, objective))
+                claims.append((mech_spec, obj_spec, float(bound)))
     results = sweep_cells(cells, config.generator, trials=config.trials,
                           seed=config.seed)
-    if parse_error is not None:
-        raise parse_error
     for cell_index, ((mech_spec, obj_spec, bound), result) in enumerate(
             zip(claims, results)):
         witness_path = ""

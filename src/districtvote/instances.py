@@ -82,14 +82,6 @@ class Metric:
     alternative_points: np.ndarray | None = None
     matrix: np.ndarray | None = field(default=None, repr=False)
 
-    @property
-    def dim(self) -> int | None:
-        if self.kind == LINE:
-            return 1
-        if self.kind == EUCLIDEAN:
-            return int(self.alternative_points.shape[1])
-        return None
-
 
 @dataclass(frozen=True, eq=False)
 class OrdinalProfile:
@@ -115,10 +107,6 @@ class OrdinalProfile:
     @property
     def num_voters(self) -> int:
         return int(self.rankings.shape[0])
-
-    @property
-    def num_candidates(self) -> int:
-        return int(self.rankings.shape[1])
 
     @property
     def tops(self) -> np.ndarray:

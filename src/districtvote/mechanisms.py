@@ -6,11 +6,13 @@ per district, located at the representative, to pick the winner. With a
 single district the two steps collapse: the representative is the winner.
 
 The over step can offer the full alternative set (the default) or only the
-representatives themselves. Ordinal rules receive derived rankings only;
-cardinal rules receive distance blocks, or, in the in-step, the rows of the
-instance's cached district aggregates. The in-step's work is kept on the
-instance, so mechanisms sharing an in-rule or its inner objective share it.
-Factories are provided for the named mechanisms: plain composition, composition through an arbitrary over
+representatives themselves. Ordinal rules receive derived rankings only. A
+cardinal rule receives, through its ``choose``, its inner objective's value
+per candidate: in the in-step a row of the instance's cached district
+aggregates, in the over step the aggregate of the pseudo-voters' distances.
+The in-step's work is kept on the instance, so mechanisms sharing an
+in-rule or its inner objective share it. Factories are provided for the
+named mechanisms: plain composition, composition through an arbitrary over
 step, dictator-then-median on a line, and the threshold-acceptance line
 mechanism (pick the rightmost acceptable alternative per district, then the
 leftmost representative). ``claimed_bound`` reads every bound this package
@@ -19,6 +21,7 @@ claims from one table (``IN_FACTORS``, ``OVER_FACTORS``, ``MECHANISM_BOUNDS``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
@@ -148,12 +151,6 @@ class ThresholdSelectRule:
         pos = np.where(_acceptable(values, self.lam), positions, -np.inf)
         return int(candidates[int(np.argmax(pos))])
 
-    def select_cardinal(self, dist: np.ndarray, candidates: np.ndarray,
-                        positions: np.ndarray | None) -> int:
-        if dist.shape[0] == 0:
-            raise EmptyVoterSet("threshold rule needs at least one voter")
-        return self.choose(self.inner.over_columns(dist), candidates, positions)
-
 
 # ---------------------------------------------------------------------------
 # mechanism object and runner
@@ -209,33 +206,21 @@ def compose(in_rule, over_rule,
     return Mechanism(in_rule, over_rule, selection_mode)
 
 
-def _select_in(rule, instance: Instance, members: np.ndarray,
-               profile: OrdinalProfile | None) -> int:
-    """One district's representative, from its own distances or rankings."""
-    if rule.info == CARDINAL:
-        return rule.select_cardinal(
-            instance.agent_alt[members],
-            np.arange(instance.num_alternatives),
-            instance.alternative_positions,
-        )
+def _select_in(rule, members: np.ndarray, profile: OrdinalProfile) -> int:
+    """One district's representative under an ordinal rule, from its rankings."""
     return rule.select_ordinal(profile.restrict(members.tolist()))
 
 
 def _representatives(rule, instance: Instance) -> tuple[int, ...]:
     """The in-step: one representative per district.
 
-    A cardinal rule with a ``choose`` core decides on the rows of the
-    instance's cached district aggregates of its inner objective; any other
-    cardinal rule gets each district's distance block. An ordinal rule's
-    representatives are cached on the instance, keyed by the rule (ordinal
-    rules are hashable values, and equal rules pick alike), so every
-    mechanism with that in-rule runs it once per instance.
+    A cardinal rule decides on the rows of the instance's cached district
+    aggregates of its inner objective. An ordinal rule's representatives are
+    cached on the instance, keyed by the rule (ordinal rules are hashable
+    values, and equal rules pick alike), so every mechanism with that
+    in-rule runs it once per instance.
     """
-    districts = instance.district_arrays()
     if rule.info == CARDINAL:
-        if not hasattr(rule, "choose"):
-            return tuple(_select_in(rule, instance, members, None)
-                         for members in districts)
         candidates = np.arange(instance.num_alternatives)
         positions = instance.alternative_positions
         return tuple(rule.choose(values, candidates, positions)
@@ -244,8 +229,8 @@ def _representatives(rule, instance: Instance) -> tuple[int, ...]:
     key = ("representatives", rule)
     if key not in cache:
         profile = instance.profile()
-        cache[key] = tuple(_select_in(rule, instance, members, profile)
-                           for members in districts)
+        cache[key] = tuple(_select_in(rule, members, profile)
+                           for members in instance.district_arrays())
     return cache[key]
 
 
@@ -263,12 +248,18 @@ def _pseudo_profile(instance: Instance, reps: Sequence[int],
     return OrdinalProfile(rows, axis, None)
 
 
-def run(mechanism: Mechanism, instance: Instance) -> MechanismTrace:
-    """Execute the mechanism; deterministic for identical inputs."""
-    if mechanism.line_only and not instance.is_line:
+def check_metric(mechanism: Mechanism, line: bool) -> None:
+    """Raise NotLineMetric if the mechanism runs only on line metrics and
+    ``line`` says the metric is not one."""
+    if mechanism.line_only and not line:
         raise NotLineMetric(
             f"mechanism {mechanism.spec!r} runs only on line instances"
         )
+
+
+def run(mechanism: Mechanism, instance: Instance) -> MechanismTrace:
+    """Execute the mechanism; deterministic for identical inputs."""
+    check_metric(mechanism, instance.is_line)
     reps = _representatives(mechanism.in_rule, instance)
     all_alts = tuple(range(instance.num_alternatives))
 
@@ -282,10 +273,10 @@ def run(mechanism: Mechanism, instance: Instance) -> MechanismTrace:
 
     over = mechanism.over_rule
     if over.info == CARDINAL:
-        dist = instance.alt_alt[np.array(reps, dtype=np.int64)][:, candidates]
+        block = instance.alt_alt[np.array(reps, dtype=np.int64)][:, candidates]
         positions = (instance.alternative_positions[candidates]
                      if instance.is_line else None)
-        winner = over.select_cardinal(dist, candidates, positions)
+        winner = over.choose(over.inner.over_columns(block), candidates, positions)
     else:
         pseudo = _pseudo_profile(instance, reps, candidates)
         winner = over.select_ordinal(pseudo, reps)
@@ -319,12 +310,17 @@ def arbitrary_dictator() -> Mechanism:
                      label="arbitrary-dictator")
 
 
+def _check_lambda(lam: float) -> None:
+    # NaN fails ``lam >= 1``; an infinite lambda times a zero optimum is NaN
+    if not (lam >= 1 and math.isfinite(lam)):
+        raise LambdaBelowOne(f"threshold {lam} must be a finite number >= 1")
+
+
 def lambda_acceptable_set(instance: Instance, district: int,
                           inner: InnerObjective, lam: float) -> tuple[int, ...]:
     """Alternatives whose inner cost for the district is within a factor
     ``lam`` of the district optimum (ascending ids; relative slack 1e-12)."""
-    if lam < 1:
-        raise LambdaBelowOne(f"threshold {lam} must be >= 1")
+    _check_lambda(lam)
     if not (0 <= district < instance.num_districts):
         raise IndexOutOfRange(f"district {district} out of range")
     values = district_aggregates(instance, inner)[district]
@@ -369,8 +365,7 @@ def lambda_arl(lam: float, inner: InnerObjective = AVG) -> Mechanism:
     representative wins. Custom inner aggregators are property-checked at
     construction and rejected with PropertyCheckFailed if unfit.
     """
-    if lam < 1:
-        raise LambdaBelowOne(f"threshold {lam} must be >= 1")
+    _check_lambda(lam)
     _validate_arl_inner(inner)
     label = f"arl:{lam:g},{inner.spec}"
     return Mechanism(ThresholdSelectRule(float(lam), inner), LeftmostRepRule(),
@@ -393,9 +388,7 @@ def _parse_over_rule(token: str, objective: ComposedObjective | None):
     if token == "optimal":
         if objective is None:
             raise ValueError("'optimal' over-rule needs an objective for its aggregator")
-        outer_as_inner = InnerObjective(kind=objective.outer.kind,
-                                        name=objective.outer.kind)
-        return OptimalRule(outer_as_inner)
+        return OptimalRule(parse_inner(objective.outer.kind))
     if token == "arbitrary":
         return ArbitraryOverRule(0)
     if token.startswith("arbitrary:"):

@@ -20,6 +20,7 @@ and objectives sharing an inner objective share that work.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -134,6 +135,8 @@ def power_mean(p: float) -> InnerObjective:
     built-in power mean from a custom inner that only shares its name.
     """
     p = float(p)
+    if not math.isfinite(p):
+        raise ValueError("power mean exponent must be finite")
     if p < 1:
         raise ValueError("power mean exponent must be >= 1")
     if p in _POWER_MEANS:
@@ -245,6 +248,9 @@ def _floats(values: np.ndarray) -> tuple[float, ...]:
 #: Samples drawn and evaluated together; bounds the memory a check holds.
 _BLOCK = 1024
 
+#: Longest vector a check samples; each sample's length is uniform on 1.._DIMS.
+_DIMS = 8
+
 
 def _blocks(samples: int):
     """Sizes of the successive blocks that make up ``samples`` draws."""
@@ -266,14 +272,13 @@ def _row_values(g: InnerObjective, mat: np.ndarray,
 
 
 def check_monotone(g: InnerObjective, samples: int = DEFAULT_SAMPLES,
-                   dims: int = 8,
                    seed: int | Sequence[int] = 0) -> PropertyCheckResult:
     """g(v) <= g(u) whenever v <= u coordinatewise (sampled)."""
     rng = _check_rng(seed)
     for block in _blocks(samples):
-        lengths = rng.integers(1, dims + 1, block)
-        v = rng.uniform(0.0, 10.0, (block, dims))
-        u = v + rng.uniform(0.0, 5.0, (block, dims))
+        lengths = rng.integers(1, _DIMS + 1, block)
+        v = rng.uniform(0.0, 10.0, (block, _DIMS))
+        u = v + rng.uniform(0.0, 5.0, (block, _DIMS))
         bad = np.flatnonzero(_row_values(g, v, lengths)
                              > _row_values(g, u, lengths) + EXACT_TOL)
         if bad.size:
@@ -285,14 +290,13 @@ def check_monotone(g: InnerObjective, samples: int = DEFAULT_SAMPLES,
 
 
 def check_subadditive(g: InnerObjective, samples: int = DEFAULT_SAMPLES,
-                      dims: int = 8,
                       seed: int | Sequence[int] = 0) -> PropertyCheckResult:
     """g(v + u) <= g(v) + g(u), and g(c v) <= c g(v) for sampled c >= 1."""
     rng = _check_rng(seed)
     for block in _blocks(samples):
-        lengths = rng.integers(1, dims + 1, block)
-        v = rng.uniform(0.0, 10.0, (block, dims))
-        u = rng.uniform(0.0, 10.0, (block, dims))
+        lengths = rng.integers(1, _DIMS + 1, block)
+        v = rng.uniform(0.0, 10.0, (block, _DIMS))
+        u = rng.uniform(0.0, 10.0, (block, _DIMS))
         c = rng.uniform(1.0, 5.0, block)
         gv = _row_values(g, v, lengths)
         additive = (_row_values(g, v + u, lengths)
@@ -309,14 +313,13 @@ def check_subadditive(g: InnerObjective, samples: int = DEFAULT_SAMPLES,
 
 
 def check_consistent(g: InnerObjective, samples: int = DEFAULT_SAMPLES,
-                     dims: int = 8,
                      seed: int | Sequence[int] = 0) -> PropertyCheckResult:
     """g of a constant vector (c, ..., c) equals c."""
     rng = _check_rng(seed)
     for block in _blocks(samples):
-        lengths = rng.integers(1, dims + 1, block)
+        lengths = rng.integers(1, _DIMS + 1, block)
         c = rng.uniform(0.0, 10.0, block)
-        got = _row_values(g, np.repeat(c[:, None], dims, axis=1), lengths)
+        got = _row_values(g, np.repeat(c[:, None], _DIMS, axis=1), lengths)
         bad = np.flatnonzero(np.abs(got - c) > EXACT_TOL)
         if bad.size:
             i = bad[0]

@@ -1,13 +1,13 @@
 """Single-winner voting rules used inside and across districts.
 
-Two information models exist. Cardinal rules see a distance block
-(voters x candidates); one that aggregates with a fixed inner objective
-also offers ``choose(values, candidates, positions)``, its decision on the
-per-candidate aggregates alone, so a mechanism can hand it an instance's
-cached district aggregates instead of a block. Ordinal rules see only an
-:class:`OrdinalProfile` restricted to their electorate -- rankings plus, on
-line metrics, the left-to-right order of alternatives -- and never raw
-distances; the call signatures enforce this.
+Two information models exist. A cardinal rule has an ``inner`` objective
+and decides through ``choose(values, candidates, positions)``: ``values``
+holds ``inner`` over the electorate's distances to each candidate, so a
+mechanism hands it the rows of an instance's cached district aggregates in
+the in-step and the aggregates of the pseudo-voters' distances in the over
+step. Ordinal rules see only an :class:`OrdinalProfile` restricted to their
+electorate -- rankings plus, on line metrics, the left-to-right order of
+alternatives -- and never raw distances; the call signatures enforce this.
 
 All four rules here are unanimous: when every voter ranks the same
 alternative first, that alternative wins.
@@ -155,12 +155,6 @@ class OptimalRule:
                positions: np.ndarray | None) -> int:
         """The candidate of least inner aggregate ``values``; ties: lowest index."""
         return int(candidates[int(np.argmin(values))])
-
-    def select_cardinal(self, dist: np.ndarray, candidates: np.ndarray,
-                        positions: np.ndarray | None) -> int:
-        if dist.shape[0] == 0:
-            raise EmptyVoterSet("optimal rule needs at least one voter")
-        return self.choose(self.inner.over_columns(dist), candidates, positions)
 
 
 @dataclass(frozen=True)

@@ -436,6 +436,9 @@ def test_verify_bounds_invalid_configs(capsys, tmp_path, mutation):
      "bound override 'arl:2|max.max' must be finite"),
     ({"generator": {"seed": 0, "low": -1e308, "high": 1e308}},
      "generator low, high and high - low must be finite"),
+    # json.load reads the NaN literal that json.dumps writes
+    ({"bounds": {"arl:2|max.max": math.nan}},
+     "bound override 'arl:2|max.max' must be finite"),
 ])
 def test_verify_bounds_wrong_typed_or_unbounded_config(capsys, tmp_path, mutation,
                                                        message):
@@ -510,6 +513,55 @@ def test_verify_bounds_rule_index_out_of_range(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify-bounds", "--config", config)
     assert code == 2
     assert err == "error: dictator index 1 out of range for 1 voters\n"
+
+
+# ---------------------------------------------------------------------------
+# non-finite parameters are input errors (exit 2)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("mechanism, objective, message", [
+    ("arl:nan", "max.max", "threshold nan must be a finite number >= 1"),
+    ("arl:inf", "max.max", "threshold inf must be a finite number >= 1"),
+    # 400 nines parse to an infinite exponent
+    ("arl:2", "max.pmean:" + "9" * 400, "power mean exponent must be finite"),
+], ids=["arl-nan", "arl-inf", "pmean-inf"])
+def test_eval_non_finite_parameter(capsys, worked_file, mechanism, objective,
+                                   message):
+    code, out, err = run_cli(capsys, "eval", worked_file, mechanism, objective)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_verify_bounds_nan_lambda_is_an_input_error(capsys, tmp_path):
+    # it used to sweep against a bound of nan and exit 1
+    config = write_config(tmp_path, mechanisms=["arl:nan"],
+                          objectives=["max.max"], families=[])
+    code, out, err = run_cli(capsys, "verify-bounds", "--config", config)
+    assert code == 2
+    assert out == ""
+    assert err == "error: threshold nan must be a finite number >= 1\n"
+
+
+def test_check_properties_infinite_power_mean(capsys):
+    code, out, err = run_cli(capsys, "check-properties", "pmean:" + "9" * 400)
+    assert code == 2
+    assert out == ""
+    assert err == "error: power mean exponent must be finite\n"
+
+
+def test_verify_bounds_reports_a_bad_last_spec_before_sweeping(
+        capsys, tmp_path, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept before every spec parsed")
+
+    monkeypatch.setattr(cli, "sweep_cells", no_sweep)
+    config = write_config(tmp_path, mechanisms=[*SMALL_CONFIG["mechanisms"],
+                                                "mystery"], families=[])
+    code, out, err = run_cli(capsys, "verify-bounds", "--config", config)
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown mechanism spec 'mystery'\n"
 
 
 def test_readme_config_example_loads(tmp_path):

@@ -48,12 +48,13 @@ class WorstCardinalRule:
     """Test stub: a rule that picks the alternative farthest from voters."""
 
     info = dv.CARDINAL
+    inner = dv.AVG
     unanimous = False
     line_only = False
     name = "worst"
 
-    def select_cardinal(self, dist, candidates, positions):
-        return int(candidates[int(np.argmax(dist.sum(axis=0)))])
+    def choose(self, values, candidates, positions):
+        return int(candidates[int(np.argmax(values))])
 
 
 def test_evaluate_infinite_ratio_and_json():
@@ -372,36 +373,40 @@ def test_sweep_cells_no_cells_and_bad_arguments():
 # ---------------------------------------------------------------------------
 
 def reference_select_cardinal(rule, dist, candidates, positions):
-    """Test-only oracle of the built-in cardinal rules on a distance block."""
-    if isinstance(rule, (dv.OptimalRule, dv.ThresholdSelectRule)):
-        values = rule.inner.over_columns(dist)
-        if isinstance(rule, dv.OptimalRule):
-            return int(candidates[int(np.argmin(values))])
+    """Test-only oracle of the cardinal rules on a distance block."""
+    values = rule.inner.over_columns(dist)
+    if isinstance(rule, dv.OptimalRule):
+        return int(candidates[int(np.argmin(values))])
+    if isinstance(rule, dv.ThresholdSelectRule):
         acceptable = np.flatnonzero(
             values <= rule.lam * values.min() * (1 + ACCEPT_SLACK))
         pos = positions[acceptable]
         return int(candidates[acceptable[np.flatnonzero(pos == pos.max())[0]]])
-    return rule.select_cardinal(dist, candidates, positions)
+    return rule.choose(values, candidates, positions)
 
 
 def reference_run(mechanism, instance):
     """Test-only oracle: the two-step run with nothing shared or cached.
 
     Every district's representative comes from its own distance block or
-    its own rows of a freshly derived profile; the over step is spelled out.
-    Returns the representatives and the winner.
+    from rankings sorted afresh from its own distances; the over step is
+    spelled out. Returns the representatives and the winner.
     """
     in_rule, over = mechanism.in_rule, mechanism.over_rule
     everyone = np.arange(instance.num_alternatives)
     positions = instance.alternative_positions
-    profile = dv.ordinal_profile(instance)
     reps = []
     for members in instance.district_arrays():
+        members = np.sort(members)
+        block = instance.agent_alt[members]
         if in_rule.info == dv.CARDINAL:
             reps.append(reference_select_cardinal(
-                in_rule, instance.agent_alt[members], everyone, positions))
+                in_rule, block, everyone, positions))
         else:
-            reps.append(in_rule.select_ordinal(profile.restrict(members.tolist())))
+            # exact distance ties rank the lower alternative id first
+            rows = np.argsort(block, axis=1, kind="stable")
+            reps.append(in_rule.select_ordinal(dv.OrdinalProfile(
+                rows, instance.line_axis(), tuple(members.tolist()))))
     reps = tuple(int(r) for r in reps)
     if len(reps) == 1:
         return reps, reps[0]
@@ -480,9 +485,14 @@ def _check_cells_on_shared(instance, cells, rng):
 @pytest.mark.parametrize("order_seed", [0, 1, 2])
 def test_cached_runs_match_uncached_path_on_default_cells(order_seed):
     cells = [(make(m, o), dv.parse_objective(o)) for m, o in DEFAULT_CELLS]
-    # a duck-typed cardinal in-rule, which reads distance blocks
-    cells.append((dv.Mechanism(WorstCardinalRule(), dv.OptimalRule(dv.AVG)),
-                  dv.parse_objective("avg.avg")))
+    # a duck-typed cardinal rule in each step and in both over-step modes
+    cells += [(dv.Mechanism(WorstCardinalRule(), dv.OptimalRule(dv.AVG)),
+               dv.parse_objective("avg.avg")),
+              (dv.Mechanism(dv.OptimalRule(dv.MAX), WorstCardinalRule()),
+               dv.parse_objective("max.max")),
+              (dv.Mechanism(WorstCardinalRule(), WorstCardinalRule(),
+                            dv.REPRESENTATIVES_ONLY),
+               dv.parse_objective("avg.avg"))]
     rng = np.random.default_rng(order_seed)
     kinds = set()
     for instance in _shared_instances():

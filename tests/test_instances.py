@@ -140,7 +140,6 @@ def test_worked_profile_rankings(worked):
     assert profile.tops.tolist() == [0, 0, 1]
     assert profile.line_axis == (0, 1)
     assert profile.num_voters == 3
-    assert profile.num_candidates == 2
 
 
 def test_distance_ties_break_by_ascending_id():

@@ -220,6 +220,17 @@ def test_lambda_arl_rejects_bad_lambda():
         dv.lambda_arl(0.5)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_non_finite_lambda_is_rejected(worked, lam):
+    # with lambda inf, a district whose best cost is 0 has inf * 0 = NaN as
+    # its acceptance threshold, so nothing would be acceptable
+    message = f"threshold {lam} must be a finite number >= 1"
+    with pytest.raises(dv.LambdaBelowOne, match=message):
+        dv.lambda_arl(lam)
+    with pytest.raises(dv.LambdaBelowOne, match=message):
+        dv.lambda_acceptable_set(worked, 0, dv.AVG, lam)
+
+
 def test_lambda_arl_not_unanimous_flag():
     assert dv.lambda_arl(2.0).unanimous is False
     for spec in SHIPPED_SPECS:

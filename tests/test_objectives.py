@@ -117,6 +117,12 @@ def test_power_mean_rejects_p_below_one():
         dv.power_mean(0.5)
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf])
+def test_power_mean_rejects_non_finite_p(p):
+    with pytest.raises(ValueError, match="power mean exponent must be finite"):
+        dv.power_mean(p)
+
+
 # ---------------------------------------------------------------------------
 # aggregator algebra
 # ---------------------------------------------------------------------------
