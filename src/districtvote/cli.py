@@ -37,14 +37,10 @@ from .distortion import (
 )
 from .errors import (
     ConfigError,
+    DistrictVoteError,
     GeneratorError,
     IncompatibleRuleMetric,
-    IndexOutOfRange,
-    LambdaBelowOne,
-    PropertyCheckFailed,
-    SchemaError,
-    TooLarge,
-    UnknownField,
+    InternalNoWinner,
 )
 from .instances import load_instance, save_instance
 from .mechanisms import check_metric, claimed_bound, parse_mechanism
@@ -57,11 +53,6 @@ from .objectives import (
 )
 from .rules import ORDINAL
 from .tolerances import BOUND_TOL
-
-_PARSE_ERRORS = (ConfigError, SchemaError, UnknownField, GeneratorError,
-                 LambdaBelowOne, PropertyCheckFailed, TooLarge, ValueError,
-                 OSError)
-
 
 # ---------------------------------------------------------------------------
 # experiment configuration
@@ -315,7 +306,7 @@ def run_verify_bounds(config: ExperimentConfig) -> list[VerifyRow]:
     out_dir = config.out_path
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-    line_metric = config.generator.kind == "line"
+    line_metric = config.generator.is_line
 
     cells, claims = [], []
     for mech_spec in config.mechanisms:
@@ -446,8 +437,7 @@ def cmd_sweep(args) -> int:
         else:
             witness_path = args.out + ".witness.json"
             save_instance(result.witness, witness_path)
-            bound = claimed_bound(mechanism, objective,
-                                  line=generator.kind == "line")
+            bound = claimed_bound(mechanism, objective, line=generator.is_line)
             text = rows_to_csv([VerifyRow(
                 "sweep", args.mechanism, args.objective, result.evaluated,
                 result.max_ratio, bound if bound is not None else float("nan"),
@@ -581,15 +571,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand; errors of the caller's making become exit codes.
 
-    ``InternalNoWinner`` and other unexpected errors still propagate.
+    A mechanism that cannot run on the metric exits 3; any other package
+    error, ``ValueError`` or ``OSError`` is invalid input and exits 2.
+    ``InternalNoWinner`` (a bug) and other unexpected errors still propagate.
     """
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except InternalNoWinner:
+        raise
     except IncompatibleRuleMetric as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except _PARSE_ERRORS + (IndexOutOfRange,) as exc:
+    except (DistrictVoteError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

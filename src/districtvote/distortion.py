@@ -131,6 +131,13 @@ class GeneratorSpec:
         if self.kind == "euclidean" and self.dim < 1:
             raise GeneratorError("euclidean generator needs dim >= 1")
 
+    @property
+    def is_line(self) -> bool:
+        """Whether every instance drawn lies on a line metric."""
+        if self.kind == "fixed":
+            return self.instance is not None and self.instance.is_line
+        return self.kind == LINE
+
 
 def random_instance(rng: np.random.Generator, spec: GeneratorSpec) -> Instance:
     """Draw one instance from the generator distribution."""

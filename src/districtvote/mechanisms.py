@@ -48,7 +48,6 @@ from .objectives import (
     SUBADDITIVE,
     check_single_peaked,
     district_aggregates,
-    is_power_mean,
     parse_inner,
     run_property_checks,
 )
@@ -338,14 +337,13 @@ _PEAK_PROBES = (
 def _validate_arl_inner(inner: InnerObjective) -> None:
     """Reject a custom inner that is not cost-like enough for the threshold.
 
-    ``avg``, ``max`` and the power means that ``power_mean`` built are
-    trusted as declared, unchecked: for p >= 1 Minkowski's inequality makes
-    the power mean subadditive, it is monotone and consistent, and its cost
-    along a line is convex, hence single-peaked; the factory rejects p < 1.
-    Power means are recognised by identity, so a custom inner that only
-    borrows the name is still checked.
+    The built-in kinds (``avg``, ``max``, ``pmean``) are trusted unchecked:
+    for p >= 1 Minkowski's inequality makes the power mean subadditive, it
+    is monotone and consistent, and its cost along a line is convex, hence
+    single-peaked; a ``pmean`` object with p < 1 cannot be built. Trust goes
+    by kind, so a custom inner that only borrows a built-in name is checked.
     """
-    if inner.kind != CUSTOM_KIND or is_power_mean(inner):
+    if inner.kind != CUSTOM_KIND:
         return
     for result in run_property_checks(inner):
         if not result.passed:
@@ -388,7 +386,7 @@ def _parse_over_rule(token: str, objective: ComposedObjective | None):
     if token == "optimal":
         if objective is None:
             raise ValueError("'optimal' over-rule needs an objective for its aggregator")
-        return OptimalRule(parse_inner(objective.outer.kind))
+        return OptimalRule(objective.outer)
     if token == "arbitrary":
         return ArbitraryOverRule(0)
     if token.startswith("arbitrary:"):
@@ -520,7 +518,7 @@ MECHANISM_BOUNDS = {
 
 def _composable_inner(inner: InnerObjective) -> bool:
     """Whether the additive composition guarantee covers this aggregator."""
-    if inner.kind in (AVG_KIND, MAX_KIND):
+    if inner.kind != CUSTOM_KIND:
         return True
     required = {MONOTONE, SUBADDITIVE, CONSISTENT}
     return required.issubset(set(inner.declared_properties))

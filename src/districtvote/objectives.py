@@ -3,9 +3,11 @@
 A composed objective scores an alternative in two stages: an inner
 aggregator g turns each district's distance vector into one number, and an
 outer aggregator F (average or maximum) combines the k district numbers.
-The four canonical combinations are spelled ``avg.avg``, ``avg.max``,
-``max.max`` and ``max.avg`` (outer first), and ``max.pmean:<p>`` composes a
-power mean of exponent p >= 1 inside a maximum.
+Both stages are ``InnerObjective`` aggregators of a distance vector; the
+shared ``AVG`` and ``MAX`` objects serve as either. The four canonical
+combinations are spelled ``avg.avg``, ``avg.max``, ``max.max`` and
+``max.avg`` (outer first), and ``max.pmean:<p>`` composes the built-in power
+mean of exponent p >= 1 inside a maximum.
 
 Custom inner aggregators participate if they behave like a cost: the
 property checks in this module probe monotonicity, subadditivity (with
@@ -20,6 +22,7 @@ and objectives sharing an inner objective share that work.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -39,26 +42,61 @@ ALL_PROPERTIES = frozenset({MONOTONE, SUBADDITIVE, CONSISTENT, SINGLE_PEAKED})
 
 AVG_KIND = "avg"
 MAX_KIND = "max"
+PMEAN_KIND = "pmean"
 CUSTOM_KIND = "custom"
+
+#: Below this a mean of powers has lost bits to underflow.
+_SMALLEST_NORMAL = np.finfo(np.float64).tiny
+
+
+def _power_means(mat: np.ndarray, p: float) -> np.ndarray:
+    """((1/n) sum v_i^p)^(1/p) of the vectors along axis 0 of ``mat``.
+
+    A vector whose powers overflow, or underflow below the normal range,
+    is divided by its largest entry before the power and multiplied by it
+    after, so the result is finite and keeps its precision at any scale.
+    """
+    with np.errstate(over="ignore", under="ignore", divide="ignore",
+                     invalid="ignore"):
+        means = np.mean(mat ** p, axis=0)
+        direct = means ** (1.0 / p)
+        kept = np.isfinite(means) & (means >= _SMALLEST_NORMAL)
+        if np.all(kept):
+            return direct
+        top = np.max(mat, axis=0)
+        scaled = top * np.mean((mat / top) ** p, axis=0) ** (1.0 / p)
+        return np.where(kept | (top == 0), direct, scaled)
 
 
 @dataclass(frozen=True)
 class InnerObjective:
-    """Aggregates one district's distance vector into one number.
+    """Aggregates a distance vector into one number.
 
-    ``kind`` is ``avg``, ``max`` or ``custom``. Custom aggregators supply
-    ``fn`` (vector -> float), may declare the cost-like properties they
-    satisfy, and may supply ``columns_fn`` (matrix -> per-column values) to
-    speed up batch evaluation. ``columns_fn`` must compute the same function
-    as ``fn`` on every column: mechanisms, every cost and the property
-    checks all evaluate through ``over_columns``.
+    It aggregates one district's agents in the in-step and the districts
+    (or the pseudo-voters at the representatives) in the over step.
+    ``kind`` is ``avg``, ``max``, ``pmean`` (the power mean of exponent
+    ``p`` >= 1) or ``custom``. Custom aggregators supply ``fn`` (vector ->
+    float) and may declare the cost-like properties they satisfy.
     """
 
     kind: str
     name: str = ""
     fn: Callable[[np.ndarray], float] | None = field(default=None, compare=False)
-    columns_fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
     declared_properties: frozenset = frozenset()
+    p: float | None = None
+
+    def __post_init__(self):
+        # built-in kinds are trusted unchecked, so a misspelt kind must not pass
+        if self.kind not in (AVG_KIND, MAX_KIND, PMEAN_KIND, CUSTOM_KIND):
+            raise ValueError(f"unknown aggregator kind {self.kind!r}")
+        if self.kind != PMEAN_KIND:
+            return
+        if self.p is None:
+            raise ValueError("power mean needs an exponent p")
+        if not math.isfinite(self.p):
+            raise ValueError("power mean exponent must be finite")
+        if self.p < 1:
+            raise ValueError("power mean exponent must be >= 1")
 
     def value(self, v: np.ndarray) -> float:
         v = np.asarray(v, dtype=np.float64)
@@ -66,6 +104,8 @@ class InnerObjective:
             return float(v.mean())
         if self.kind == MAX_KIND:
             return float(v.max())
+        if self.kind == PMEAN_KIND:
+            return float(_power_means(v, self.p))
         return float(self.fn(v))
 
     def over_columns(self, mat: np.ndarray) -> np.ndarray:
@@ -75,35 +115,22 @@ class InnerObjective:
             return mat.mean(axis=0)
         if self.kind == MAX_KIND:
             return mat.max(axis=0)
-        if self.columns_fn is not None:
-            return np.asarray(self.columns_fn(mat), dtype=np.float64)
+        if self.kind == PMEAN_KIND:
+            return _power_means(mat, self.p)
         return np.array([float(self.fn(mat[:, c])) for c in range(mat.shape[1])])
 
     @property
     def spec(self) -> str:
-        return self.name or self.kind
-
-
-@dataclass(frozen=True)
-class OuterObjective:
-    """Combines per-district numbers; only average and maximum exist."""
-
-    kind: str
-
-    def over_rows(self, mat: np.ndarray) -> np.ndarray:
-        mat = np.asarray(mat, dtype=np.float64)
-        return mat.mean(axis=0) if self.kind == AVG_KIND else mat.max(axis=0)
-
-    @property
-    def spec(self) -> str:
-        return self.kind
+        if self.name:
+            return self.name
+        return f"pmean:{self.p:g}" if self.kind == PMEAN_KIND else self.kind
 
 
 @dataclass(frozen=True)
 class ComposedObjective:
     """Outer aggregator over districts of an inner aggregator over agents."""
 
-    outer: OuterObjective
+    outer: InnerObjective
     inner: InnerObjective
 
     @property
@@ -115,51 +142,26 @@ AVG = InnerObjective(kind=AVG_KIND, name="avg",
                      declared_properties=ALL_PROPERTIES)
 MAX = InnerObjective(kind=MAX_KIND, name="max",
                      declared_properties=ALL_PROPERTIES)
-OUTER_AVG = OuterObjective(kind=AVG_KIND)
-OUTER_MAX = OuterObjective(kind=MAX_KIND)
 
-AVG_AVG = ComposedObjective(OUTER_AVG, AVG)
-AVG_MAX = ComposedObjective(OUTER_AVG, MAX)
-MAX_MAX = ComposedObjective(OUTER_MAX, MAX)
-MAX_AVG = ComposedObjective(OUTER_MAX, AVG)
-
-
-#: The power means built so far, one object per exponent.
-_POWER_MEANS: dict[float, InnerObjective] = {}
+AVG_AVG = ComposedObjective(AVG, AVG)
+AVG_MAX = ComposedObjective(AVG, MAX)
+MAX_MAX = ComposedObjective(MAX, MAX)
+MAX_AVG = ComposedObjective(MAX, AVG)
 
 
 def power_mean(p: float) -> InnerObjective:
     """The power mean ((1/n) sum v_i^p)^(1/p); p >= 1 keeps it cost-like.
 
-    Each exponent gets one object, so :func:`is_power_mean` can tell a
-    built-in power mean from a custom inner that only shares its name.
+    Each exponent gets one object (2 and 2.0 included), so objectives
+    sharing it share the instance's cached district aggregates.
     """
-    p = float(p)
-    if not math.isfinite(p):
-        raise ValueError("power mean exponent must be finite")
-    if p < 1:
-        raise ValueError("power mean exponent must be >= 1")
-    if p in _POWER_MEANS:
-        return _POWER_MEANS[p]
-
-    def fn(v: np.ndarray) -> float:
-        v = np.asarray(v, dtype=np.float64)
-        return float(np.mean(v ** p) ** (1.0 / p))
-
-    def columns_fn(mat: np.ndarray) -> np.ndarray:
-        return np.mean(mat ** p, axis=0) ** (1.0 / p)
-
-    label = f"pmean:{p:g}"
-    inner = InnerObjective(kind=CUSTOM_KIND, name=label, fn=fn,
-                           columns_fn=columns_fn,
-                           declared_properties=ALL_PROPERTIES)
-    _POWER_MEANS[p] = inner
-    return inner
+    return _power_mean(float(p))
 
 
-def is_power_mean(inner: InnerObjective) -> bool:
-    """Whether ``inner`` is an object that :func:`power_mean` built."""
-    return any(inner is g for g in _POWER_MEANS.values())
+@functools.cache
+def _power_mean(p: float) -> InnerObjective:
+    return InnerObjective(kind=PMEAN_KIND, name=f"pmean:{p:g}", p=p,
+                          declared_properties=ALL_PROPERTIES)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +208,7 @@ def cost(instance: Instance, objective: ComposedObjective, alternative: int) -> 
 
 def cost_vector(instance: Instance, objective: ComposedObjective) -> np.ndarray:
     """Composed cost of every alternative at once."""
-    return objective.outer.over_rows(district_aggregates(instance, objective.inner))
+    return objective.outer.over_columns(district_aggregates(instance, objective.inner))
 
 
 def optimal_alternative(instance: Instance,
@@ -407,5 +409,4 @@ def parse_objective(spec: str) -> ComposedObjective:
     outer_name, sep, inner_name = spec.partition(".")
     if not sep or outer_name not in (AVG_KIND, MAX_KIND):
         raise ValueError(f"objective spec {spec!r} must look like 'avg.max'")
-    outer = OUTER_AVG if outer_name == AVG_KIND else OUTER_MAX
-    return ComposedObjective(outer, parse_inner(inner_name))
+    return ComposedObjective(parse_inner(outer_name), parse_inner(inner_name))

@@ -93,6 +93,38 @@ def test_eval_metric_incompatibility(capsys, euclid_file):
     assert "error:" in err
 
 
+def _explicit_document(distances):
+    return {"metric": {"type": "explicit", "distances": distances},
+            "districts": [[0, 1]], "alternatives": 1}
+
+
+def _line_document(agent_positions, districts, alternative_positions):
+    return {"metric": {"type": "line", "agent_positions": agent_positions,
+                       "alternative_positions": alternative_positions},
+            "districts": districts}
+
+
+@pytest.mark.parametrize("document, error", [
+    (_explicit_document([[0, 1, 1], [1, 0, -1], [1, -1, 0]]), dv.NegativeDistance),
+    (_explicit_document([[0, 1, 5], [1, 0, 1], [5, 1, 0]]), dv.TriangleViolation),
+    (_explicit_document([[0, 1, 1], [1, 0, 1], [1, 2, 0]]), dv.AsymmetricMatrix),
+    (_explicit_document([[1, 1, 1], [1, 0, 1], [1, 1, 0]]), dv.NonzeroDiagonal),
+    (_line_document([[0.0], [1.0]], [[0], [0]], [0.5]), dv.InvalidPartition),
+    (_line_document([[0.0], []], [[0], []], [0.5]), dv.EmptyDistrict),
+    (_line_document([[0.0]], [[0]], []), dv.NoAlternatives),
+])
+def test_eval_malformed_instance_file(capsys, tmp_path, document, error):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    with pytest.raises(error):
+        dv.load_instance(str(path))
+    code, out, err = run_cli(capsys, "eval", str(path),
+                             "compose:optimal,optimal", "avg.avg")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -447,6 +479,17 @@ def test_verify_bounds_wrong_typed_or_unbounded_config(capsys, tmp_path, mutatio
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_verify_bounds_fixed_line_instance_keeps_line_only_cells():
+    instance = dv.build_line_instance([[0.0, 0.4], [0.7, 1.0]], [0.1, 0.5, 0.9])
+    config = cli.ExperimentConfig(
+        mechanisms=["arl:2", "compose:optimal,optimal"], objectives=["max.max"],
+        generator=dv.GeneratorSpec(kind="fixed", instance=instance),
+        trials=3, seed=0)
+    rows = cli.run_verify_bounds(config)
+    assert [(r.mechanism, r.bound) for r in rows] == [
+        ("arl:2", 2.5), ("compose:optimal,optimal", 3.0)]
 
 
 GOLDEN = Path(__file__).parent / "data" / "verify_bounds_golden.json"

@@ -431,7 +431,9 @@ def reference_cost_vector(instance, objective):
     """Test-only oracle: composed costs from per-district distance blocks."""
     per_district = np.array([objective.inner.over_columns(instance.agent_alt[members])
                              for members in instance.district_arrays()])
-    return objective.outer.over_rows(per_district)
+    if objective.outer.kind == "avg":
+        return per_district.mean(axis=0)
+    return per_district.max(axis=0)
 
 
 def _explicit_from_points(inst):

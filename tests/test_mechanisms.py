@@ -261,13 +261,12 @@ def test_lambda_arl_rejects_nearest_agent_inner():
 
 @pytest.mark.parametrize("declared", [frozenset(), ALL_PROPERTIES])
 def test_lambda_arl_rejects_inner_named_like_power_mean(declared):
-    # only the objects power_mean built are trusted; borrowing the name
-    # (and, with every property declared, even comparing equal to the real
-    # power mean, since equality ignores fn) earns nothing
+    # trust goes by kind: borrowing the name, even with every property
+    # declared, earns nothing, and the impostor does not compare equal
     impostor = dv.InnerObjective(kind="custom", name="pmean:2",
                                  fn=lambda v: float(np.sum(v)) ** 2,
                                  declared_properties=declared)
-    assert (impostor == dv.power_mean(2)) == bool(declared)
+    assert impostor != dv.power_mean(2)
     with pytest.raises(dv.PropertyCheckFailed) as exc:
         dv.lambda_arl(2.0, impostor)
     assert exc.value.property_name == "subadditive"
@@ -351,6 +350,14 @@ def test_parse_arl_binds_objective_inner():
     assert mech.spec == "arl:2,pmean:2"
     mech = dv.parse_mechanism("arl:2,avg")
     assert mech.spec == "arl:2,avg"
+
+
+def test_parse_optimal_binds_objective_aggregators():
+    for spec in ("avg.max", "max.pmean:2"):
+        objective = dv.parse_objective(spec)
+        mech = dv.parse_mechanism("compose:optimal,optimal", objective)
+        assert mech.in_rule.inner is objective.inner
+        assert mech.over_rule.inner is objective.outer
 
 
 def test_parse_errors():
@@ -466,7 +473,9 @@ def measured_step_ratios(inst, trace, objective):
         else:
             alpha = max(alpha, rep_cost / best)
     reps = np.array(trace.representatives)
-    pseudo_costs = objective.outer.over_rows(inst.alt_alt[reps])
+    distances = inst.alt_alt[reps]
+    pseudo_costs = (distances.mean(axis=0) if objective.outer.kind == "avg"
+                    else distances.max(axis=0))
     best = float(pseudo_costs.min())
     winner_cost = float(pseudo_costs[trace.winner])
     if best == 0.0:

@@ -102,6 +102,11 @@ def test_parse_objective_rejects_garbage():
             dv.parse_objective(bad)
 
 
+def test_parse_objective_outer_is_the_shared_aggregator():
+    assert dv.parse_objective("max.pmean:2").outer is dv.MAX
+    assert dv.parse_objective("avg.max").outer is dv.AVG
+
+
 def test_parse_inner():
     assert dv.parse_inner("avg") is dv.AVG
     assert dv.parse_inner("max") is dv.MAX
@@ -121,6 +126,50 @@ def test_power_mean_rejects_p_below_one():
 def test_power_mean_rejects_non_finite_p(p):
     with pytest.raises(ValueError, match="power mean exponent must be finite"):
         dv.power_mean(p)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"kind": "pmean", "p": 0.5}, "power mean exponent must be >= 1"),
+    ({"kind": "pmean", "p": math.nan}, "power mean exponent must be finite"),
+    ({"kind": "pmean"}, "power mean needs an exponent p"),
+    # a misspelt kind would otherwise be trusted like a built-in one
+    ({"kind": "pmeans", "fn": np.mean}, "unknown aggregator kind 'pmeans'"),
+])
+def test_inner_objectives_built_directly_are_validated(fields, message):
+    with pytest.raises(ValueError, match=message):
+        dv.InnerObjective(**fields)
+
+
+def _line_scaled(scale):
+    agents, alternatives = [[0.0, 5.0], [9.0]], [1.0, 4.0, 8.0]
+    return dv.build_line_instance([[scale * x for x in d] for d in agents],
+                                  [scale * x for x in alternatives])
+
+
+@pytest.mark.parametrize("spec, scale", [
+    ("max.pmean:400", 1.0),     # distances above 1 overflow x ** 400
+    ("max.pmean:1000", 1.0),
+    ("max.pmean:2", 1e-200),    # x ** 2 underflows to 0
+    ("max.pmean:2", 1e-160),    # x ** 2 underflows to a subnormal
+])
+def test_power_means_stay_finite_at_any_scale(spec, scale):
+    objective = dv.parse_objective(spec)
+    instance = _line_scaled(scale)
+    costs = dv.cost_vector(instance, objective)
+    assert np.all(np.isfinite(costs))
+    aggregates = dv.district_aggregates(instance, objective.inner)
+    for d, members in enumerate(instance.district_arrays()):
+        block = instance.agent_alt[members]
+        assert np.all(aggregates[d] >= block.mean(axis=0) * (1 - EXACT))
+        assert np.all(aggregates[d] <= block.max(axis=0) * (1 + EXACT))
+        values = [objective.inner.value(column) for column in block.T]
+        np.testing.assert_allclose(values, aggregates[d], rtol=EXACT)
+    np.testing.assert_allclose(
+        costs, scale * dv.cost_vector(_line_scaled(1.0), objective), rtol=EXACT)
+    for mechanism in ("compose:optimal,optimal", "arl:2"):
+        ratio = dv.evaluate(dv.parse_mechanism(mechanism, objective), instance,
+                            objective).ratio
+        assert math.isfinite(ratio) and ratio >= 1.0
 
 
 # ---------------------------------------------------------------------------
