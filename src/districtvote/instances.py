@@ -263,9 +263,16 @@ def _assemble(metric: Metric, agent_alt: np.ndarray, alt_alt: np.ndarray,
     )
 
 
-def _make_instance(metric: Metric, agent_alt: np.ndarray, alt_alt: np.ndarray,
+def _make_instance(parts, agent_points: np.ndarray, alternative_points: np.ndarray,
                    districts) -> Instance:
-    _validate_districts(districts, agent_alt.shape[0])
+    """Assemble checked points whose ``districts`` partition the agents.
+
+    Finite points can lie too far apart for a float distance, so that is checked.
+    """
+    with np.errstate(over="ignore"):
+        metric, agent_alt, alt_alt = parts(agent_points, alternative_points)
+    if not (np.isfinite(agent_alt).all() and np.isfinite(alt_alt).all()):
+        raise ValueError("distances between the points overflow")
     return _assemble(metric, agent_alt, alt_alt, _canonical_districts(districts))
 
 
@@ -307,7 +314,7 @@ def _line_instance_from_ids(agent_positions: np.ndarray, districts,
     alt_pos = _freeze(alternative_positions, ndim=1)
     if alt_pos.size == 0:
         raise NoAlternatives("an instance needs at least one alternative")
-    return _make_instance(*_line_parts(agent_pos, alt_pos), districts)
+    return _make_instance(_line_parts, agent_pos, alt_pos, districts)
 
 
 def _consecutive_districts(blocks: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:
@@ -346,7 +353,7 @@ def _euclidean_instance_from_ids(agent_coords: np.ndarray, districts,
         raise ValueError("euclidean coordinates need dimension >= 1")
     if agent_xy.shape[1] != alt_xy.shape[1]:
         raise ValueError("agent and alternative coordinate dimensions differ")
-    return _make_instance(*_euclidean_parts(agent_xy, alt_xy), districts)
+    return _make_instance(_euclidean_parts, agent_xy, alt_xy, districts)
 
 
 def build_euclidean_instance(agent_coords_by_district: Sequence[Sequence[Sequence[float]]],
@@ -393,7 +400,7 @@ def _explicit_instance_from_ids(mat: np.ndarray, districts, num_agents: int,
     metric = Metric(kind=EXPLICIT, matrix=mat)
     agent_alt = mat[:num_agents, num_agents:].copy()
     alt_alt = mat[num_agents:, num_agents:].copy()
-    return _make_instance(metric, agent_alt, alt_alt, districts)
+    return _assemble(metric, agent_alt, alt_alt, _canonical_districts(districts))
 
 
 def build_explicit_instance(distances: Sequence[Sequence[float]],
@@ -488,52 +495,51 @@ def _require_keys(data: dict, allowed: set[str], where: str):
         raise UnknownField(f"unknown field(s) {sorted(unknown)} in {where}")
 
 
-def _as_districts(raw) -> list[list[int]]:
-    if not isinstance(raw, list) or not all(isinstance(d, list) for d in raw):
-        raise SchemaError("'districts' must be a list of lists of agent ids")
-    out = []
-    for d in raw:
-        members = []
-        for a in d:
-            if not isinstance(a, int) or isinstance(a, bool):
-                raise SchemaError(f"agent id {a!r} is not an integer")
-            members.append(a)
-        out.append(members)
-    return out
-
-
-#: For each point metric: (agents key, alternatives key, what an agent block holds).
+#: For each point metric: (agents key, alternatives key).
 _POINT_KEYS = {
-    LINE: ("agent_positions", "alternative_positions", "position"),
-    EUCLIDEAN: ("agent_coords", "alternative_coords", "coordinate"),
+    LINE: ("agent_positions", "alternative_positions"),
+    EUCLIDEAN: ("agent_coords", "alternative_coords"),
 }
 
 
-def _place_blocks(blocks, districts: list[list[int]], num_agents: int,
-                  dim: int | None, noun: str) -> np.ndarray:
-    """Agent points by id from blocks aligned with ``districts``.
+def _nested(value, depth: int, field: str, integers: bool = False):
+    """``value``, once it is known to be exactly ``depth`` levels of lists
+    around JSON numbers: integers if ``integers`` is set, never booleans.
 
-    ``dim`` is None for line positions, else the coordinate dimension.
+    Anything else raises SchemaError.
     """
-    points = np.zeros(num_agents if dim is None else (num_agents, dim))
-    seen = np.zeros(num_agents, dtype=bool)
-    for d, (members, block) in enumerate(zip(districts, blocks)):
-        if len(members) != len(block):
-            raise SchemaError(f"district {d} and its {noun} block differ in length")
-        for a, p in zip(members, block):
-            if not (0 <= a < num_agents):
-                raise InvalidPartition(f"agent id {a} out of range")
-            if seen[a]:
-                raise InvalidPartition(f"agent id {a} appears twice")
-            if dim is not None and len(p) != dim:
-                raise SchemaError("inconsistent coordinate dimensions")
-            seen[a] = True
-            points[a] = float(p) if dim is None else [float(c) for c in p]
-    return points
+    items = [value]
+    for _ in range(depth):
+        if not all(isinstance(v, list) for v in items):
+            raise SchemaError(f"'{field}' must nest lists {depth} deep")
+        items = [x for v in items for x in v]
+    kinds = int if integers else (int, float)
+    if not all(isinstance(x, kinds) and not isinstance(x, bool) for x in items):
+        raise SchemaError(f"'{field}' must hold only "
+                          + ("integer ids" if integers else "numbers"))
+    return value
+
+
+def _floats(value, depth: int, field: str, districts=None) -> np.ndarray:
+    """A numeric field as one float array.
+
+    With ``districts``, ``value`` holds one block of agent points per
+    district, and the blocks are joined in district order.
+    """
+    value = _nested(value, depth, field)
+    if districts is not None:
+        if [len(block) for block in value] != [len(d) for d in districts]:
+            raise SchemaError(f"'{field}' must align with 'districts'")
+        value = [point for block in value for point in block]
+    try:
+        return np.array(value, dtype=np.float64)
+    except (OverflowError, ValueError):
+        raise SchemaError(f"'{field}' is ragged or holds a number beyond "
+                          "float range") from None
 
 
 def instance_from_json(data: dict) -> Instance:
-    """Parse the canonical JSON dict; rejects unknown fields."""
+    """Parse the canonical JSON dict; rejects unknown fields and wrong types."""
     if not isinstance(data, dict):
         raise SchemaError("instance document must be a JSON object")
     _require_keys(data, _TOP_KEYS, "instance")
@@ -544,68 +550,55 @@ def instance_from_json(data: dict) -> Instance:
     if not isinstance(metric, dict) or "type" not in metric:
         raise SchemaError("'metric' must be an object with a 'type'")
     kind = metric["type"]
-    if kind not in _METRIC_KEYS:
+    if not isinstance(kind, str) or kind not in _METRIC_KEYS:
         raise SchemaError(f"unknown metric type {kind!r}")
     _require_keys(metric, _METRIC_KEYS[kind], f"metric of type {kind!r}")
-    districts = _as_districts(data["districts"])
+    districts = _nested(data["districts"], 2, "districts", integers=True)
     num_agents = sum(len(d) for d in districts)
+    _validate_districts(districts, num_agents)
 
     alternatives = data.get("alternatives")
-    alt_count: int | None = None
-    alt_positions_from_count: list[float] | None = None
-    if isinstance(alternatives, bool):
-        raise SchemaError("'alternatives' must be a count or a position list")
-    if isinstance(alternatives, int):
-        alt_count = alternatives
-    elif isinstance(alternatives, list):
-        if kind != LINE:
-            raise SchemaError("'alternatives' may be a position list only for line metrics")
-        alt_positions_from_count = [float(p) for p in alternatives]
-        alt_count = len(alt_positions_from_count)
-    elif alternatives is not None:
-        raise SchemaError("'alternatives' must be a count or a position list")
+    listed = None
+    if isinstance(alternatives, list) and kind == LINE:
+        listed = _floats(alternatives, 1, "alternatives")
+        alternatives = len(listed)
+    elif alternatives is not None and (not isinstance(alternatives, int)
+                                       or isinstance(alternatives, bool)):
+        raise SchemaError("'alternatives' must be a count or, for line "
+                          "metrics, a position list")
 
     if kind == EXPLICIT:
         if "distances" not in metric:
             raise SchemaError("explicit metric needs 'distances'")
-        if alt_count is None:
+        if alternatives is None:
             raise SchemaError("explicit metric needs an 'alternatives' count")
-        mat = _freeze(metric["distances"], ndim=2)
-        if mat.shape[0] != num_agents + alt_count:
-            raise SchemaError(
-                f"matrix side {mat.shape[0]} != agents {num_agents} + alternatives {alt_count}"
-            )
-        if alt_count < 1:
+        mat = _freeze(_floats(metric["distances"], 2, "distances"), ndim=2)
+        if mat.shape[0] != num_agents + alternatives:
+            raise SchemaError(f"matrix side {mat.shape[0]} != agents {num_agents} "
+                              f"+ alternatives {alternatives}")
+        if alternatives < 1:
             raise NoAlternatives("an instance needs at least one alternative")
         _validate_distance_matrix(mat)
-        return _explicit_instance_from_ids(mat, districts, num_agents, alt_count)
+        return _explicit_instance_from_ids(mat, districts, num_agents, alternatives)
 
-    agents_key, alts_key, noun = _POINT_KEYS[kind]
-    required = (agents_key,) if kind == LINE else (agents_key, alts_key)
-    if any(key not in metric for key in required):
-        raise SchemaError(f"{kind} metric needs "
-                          + " and ".join(f"'{key}'" for key in required))
-    blocks = metric[agents_key]
-    if len(blocks) != len(districts):
-        raise SchemaError(f"'{agents_key}' must align with 'districts'")
-    if kind == LINE:
-        alt_points = metric.get(alts_key, alt_positions_from_count)
-        if alt_points is None:
-            raise SchemaError("line metric needs alternative positions")
-        if alt_positions_from_count is not None and \
-                list(map(float, alt_points)) != alt_positions_from_count:
+    agents_key, alts_key = _POINT_KEYS[kind]
+    if agents_key not in metric:
+        raise SchemaError(f"{kind} metric needs '{agents_key}'")
+    depth = 1 if kind == LINE else 2
+    alt_points = listed
+    if alts_key in metric:
+        alt_points = _floats(metric[alts_key], depth, alts_key)
+        if listed is not None and not np.array_equal(alt_points, listed):
             raise SchemaError("'alternatives' list disagrees with metric positions")
-        dim, described = None, "metric positions"
-    else:
-        alt_points = np.array(metric[alts_key], dtype=np.float64)
-        if alt_points.ndim != 2:
-            raise SchemaError("'alternative_coords' must be a list of coordinate lists")
-        dim, described = alt_points.shape[1], "coordinates"
-    if alt_count is not None and alt_count != len(alt_points):
-        raise SchemaError(f"'alternatives' count disagrees with {described}")
-    points = _place_blocks(blocks, districts, num_agents, dim, noun)
+    if alt_points is None:
+        raise SchemaError(f"{kind} metric needs '{alts_key}'")
+    if alternatives is not None and alternatives != len(alt_points):
+        raise SchemaError(f"'alternatives' count disagrees with '{alts_key}'")
+    flat = _floats(metric[agents_key], depth + 1, agents_key, districts)
+    points = np.empty_like(flat)
+    points[[a for d in districts for a in d]] = flat
     build = _line_instance_from_ids if kind == LINE else _euclidean_instance_from_ids
-    return build(points, districts, np.array(alt_points, dtype=np.float64))
+    return build(points, districts, alt_points)
 
 
 def save_instance(instance: Instance, path) -> None:

@@ -89,6 +89,8 @@ class InnerObjective:
         # built-in kinds are trusted unchecked, so a misspelt kind must not pass
         if self.kind not in (AVG_KIND, MAX_KIND, PMEAN_KIND, CUSTOM_KIND):
             raise ValueError(f"unknown aggregator kind {self.kind!r}")
+        if self.kind == CUSTOM_KIND and self.fn is None:
+            raise ValueError("a custom aggregator needs a function fn")
         if self.kind != PMEAN_KIND:
             return
         if self.p is None:

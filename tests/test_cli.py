@@ -1,12 +1,18 @@
 """Command line interface: subcommands, artifacts, exit codes."""
 
+import contextlib
+import copy
 import csv
 import hashlib
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import districtvote as dv
 from districtvote import cli
@@ -112,6 +118,18 @@ def _line_document(agent_positions, districts, alternative_positions):
     (_line_document([[0.0], [1.0]], [[0], [0]], [0.5]), dv.InvalidPartition),
     (_line_document([[0.0], []], [[0], []], [0.5]), dv.EmptyDistrict),
     (_line_document([[0.0]], [[0]], []), dv.NoAlternatives),
+    # wrong-typed or wrongly nested leaves
+    (_line_document([[[0.0]]], [[0]], [0.5]), dv.SchemaError),
+    ({**_line_document([[0.0]], [[0]], [1.0, 2.0]), "alternatives": [[1.0], [2.0]]},
+     dv.SchemaError),
+    (_line_document(5, [[0]], [0.5]), dv.SchemaError),
+    (_line_document([[None]], [[0]], [0.5]), dv.SchemaError),
+    ({"metric": {"type": ["line"], "agent_positions": [[0.0]],
+                 "alternative_positions": [0.5]}, "districts": [[0]]}, dv.SchemaError),
+    (_line_document([[10 ** 400]], [[0]], [0.5]), dv.SchemaError),
+    (_line_document([[0.0]], [[0]], 3), dv.SchemaError),
+    # finite points whose distance overflows
+    (_line_document([[-1e308]], [[0]], [1e308]), ValueError),
 ])
 def test_eval_malformed_instance_file(capsys, tmp_path, document, error):
     path = tmp_path / "malformed.json"
@@ -123,6 +141,85 @@ def test_eval_malformed_instance_file(capsys, tmp_path, document, error):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_FUZZ_INSTANCES = [
+    _line_document([[0.0, 1.0], [2.0]], [[0, 1], [2]], [0.5, 1.8]),
+    {"metric": {"type": "line", "agent_positions": [[2.0, 0.0], [1.5]]},
+     "districts": [[2, 0], [1]], "alternatives": [0.5, 1.8]},
+    {"metric": {"type": "euclidean", "agent_coords": [[[0.0, 0.0], [1.0, 0.0]]],
+                "alternative_coords": [[0.5, 0.5], [1.0, 1.0]]},
+     "districts": [[0, 1]], "alternatives": 2},
+    _explicit_document([[0.0, 1.0, 0.5], [1.0, 0.0, 0.5], [0.5, 0.5, 0.0]]),
+]
+_FUZZ_CONFIG = {
+    "mechanisms": ["compose:optimal,optimal", "arl:2"],
+    "objectives": ["max.max"],
+    "generator": {"kind": "line", "seed": 0, "trials": 3, "n-range": [2, 4],
+                  "m-range": [2, 3], "k-range": [1, 2], "low": 0.0, "high": 1.0,
+                  "dim": 2},
+    "families": ["cardinal-line"],
+    "fib_index": 4,
+    "family_x": 2,
+    "bounds": {"arl:2|max.max": 3.0},
+    "output": {"format": "csv"},
+}
+
+
+def _paths(node, prefix=()):
+    """Key paths to every value nested in ``node``."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _wrong_values(old) -> list:
+    """Values of another JSON type than ``old``, or ``old`` a list level
+    deeper or shallower; never a number where a number belongs, so no huge
+    trial count can slip in."""
+    values = [None, True, [old], {"k": old}]
+    if not isinstance(old, str):
+        values.append("x")
+    if not isinstance(old, (int, float)):
+        values.append(2)
+    if isinstance(old, list) and old:
+        values.append(old[0])
+    return values
+
+
+@st.composite
+def _mutated_documents(draw):
+    is_config = draw(st.booleans())
+    document = copy.deepcopy(
+        _FUZZ_CONFIG if is_config else draw(st.sampled_from(_FUZZ_INSTANCES)))
+    *path, key = draw(st.sampled_from(list(_paths(document))))
+    parent = document
+    for step in path:
+        parent = parent[step]
+    parent[key] = draw(st.sampled_from(_wrong_values(parent[key])))
+    return is_config, document
+
+
+@settings(max_examples=250, deadline=None)
+@given(_mutated_documents())
+def test_mutated_documents_exit_0_or_2(case):
+    is_config, document = case
+    with tempfile.TemporaryDirectory() as folder:
+        path = str(Path(folder) / "document.json")
+        Path(path).write_text(json.dumps(document), encoding="utf-8")
+        argv = (["verify-bounds", "--config", path, "--out", folder] if is_config
+                else ["eval", path, "compose:optimal,optimal", "avg.avg"])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert "error:" not in err.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,7 @@ def test_power_mean_rejects_non_finite_p(p):
     ({"kind": "pmean"}, "power mean needs an exponent p"),
     # a misspelt kind would otherwise be trusted like a built-in one
     ({"kind": "pmeans", "fn": np.mean}, "unknown aggregator kind 'pmeans'"),
+    ({"kind": "custom", "name": "nofn"}, "a custom aggregator needs a function fn"),
 ])
 def test_inner_objectives_built_directly_are_validated(fields, message):
     with pytest.raises(ValueError, match=message):
