@@ -197,6 +197,11 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("'bounds' must map 'mechanism|objective' to numbers")
     bounds = {str(key): _number(value, f"bound override {key!r}")
               for key, value in bounds.items()}
+    cells = {f"{mech}|{obj}" for mech in mechanisms for obj in objectives}
+    for key in bounds:
+        if key not in cells:
+            raise ConfigError(f"bound override {key!r} names no configured "
+                              "mechanism|objective cell")
 
     output = data.get("output", {})
     if not isinstance(output, dict):
@@ -298,8 +303,9 @@ def _family_applies(family_name: str, mechanism) -> bool:
 def run_verify_bounds(config: ExperimentConfig) -> list[VerifyRow]:
     """Evaluate every configured sweep cell and family certification.
 
-    Every cell is parsed, and checked against the generator's metric,
-    before any sweeps. The sweep cells share each trial's instance
+    Every cell is parsed and checked against the generator's metric, and
+    every family is built, before any sweeps; so a bad cell or family
+    leaves no witness files. The sweep cells share each trial's instance
     (``sweep_cells``); every cell's row equals that of its own ``sweep``.
     """
     rows: list[VerifyRow] = []
@@ -321,6 +327,9 @@ def run_verify_bounds(config: ExperimentConfig) -> list[VerifyRow]:
                 check_metric(mechanism, line_metric)
                 cells.append((mechanism, objective))
                 claims.append((mech_spec, obj_spec, float(bound)))
+    families = [(name, build_family(name, fib_index=config.fib_index,
+                                    x=config.family_x))
+                for name in config.families]
     results = sweep_cells(cells, config.generator, trials=config.trials,
                           seed=config.seed)
     for cell_index, ((mech_spec, obj_spec, bound), result) in enumerate(
@@ -341,9 +350,7 @@ def run_verify_bounds(config: ExperimentConfig) -> list[VerifyRow]:
             seed=config.seed,
         ))
 
-    for family_name in config.families:
-        family = build_family(family_name, fib_index=config.fib_index,
-                              x=config.family_x)
+    for family_name, family in families:
         exported = False
         for mech_spec in config.mechanisms:
             mechanism = parse_mechanism(mech_spec, family.objective)

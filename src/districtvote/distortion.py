@@ -276,19 +276,16 @@ def hill_climb(mechanism: Mechanism, objective: ComposedObjective,
     def ratio_of(inst: Instance) -> float:
         return evaluate(mechanism, inst, objective).ratio
 
-    cur_agents = init.agent_positions.copy()
-    cur_alts = init.alternative_positions.copy()
-    cur_ratio = ratio_of(init)
-    best_agents, best_alts, best_ratio = cur_agents.copy(), cur_alts.copy(), cur_ratio
-    best_instance = init
+    cur = best = init
+    cur_ratio = best_ratio = ratio_of(init)
     evaluated = 1
     stale = 0
-    n = cur_agents.size
+    n, m = init.num_agents, init.num_alternatives
 
     for _ in range(steps):
-        agents = cur_agents.copy()
-        alts = cur_alts.copy()
-        j = int(rng.integers(n + alts.size))
+        agents = cur.agent_positions.copy()
+        alts = cur.alternative_positions.copy()
+        j = int(rng.integers(n + m))
         delta = float(rng.normal(0.0, step_size))
         if j < n:
             agents[j] += delta
@@ -298,21 +295,19 @@ def hill_climb(mechanism: Mechanism, objective: ComposedObjective,
         r = ratio_of(candidate)
         evaluated += 1
         if r > cur_ratio:
-            cur_agents, cur_alts, cur_ratio = agents, alts, r
+            cur, cur_ratio = candidate, r
             stale = 0
             if r > best_ratio:
-                best_agents, best_alts, best_ratio = agents, alts, r
-                best_instance = candidate
+                best, best_ratio = candidate, r
         else:
             stale += 1
             if stale >= patience:
-                cur_agents = best_agents + rng.normal(0.0, step_size * 10, n)
-                cur_alts = best_alts + rng.normal(0.0, step_size * 10, best_alts.size)
-                restarted = build(cur_agents, cur_alts)
-                cur_ratio = ratio_of(restarted)
+                agents = best.agent_positions + rng.normal(0.0, step_size * 10, n)
+                alts = best.alternative_positions + rng.normal(0.0, step_size * 10, m)
+                cur = build(agents, alts)
+                cur_ratio = ratio_of(cur)
                 evaluated += 1
                 stale = 0
                 if cur_ratio > best_ratio:
-                    best_agents, best_alts = cur_agents.copy(), cur_alts.copy()
-                    best_ratio, best_instance = cur_ratio, restarted
-    return SweepResult(best_ratio, best_instance, evaluated, seed)
+                    best, best_ratio = cur, cur_ratio
+    return SweepResult(best_ratio, best, evaluated, seed)

@@ -91,13 +91,10 @@ class OrdinalProfile:
     voter ``i``. ``line_axis`` is the left-to-right order of alternative ids
     on the line (present only for line instances); ordinal rules that exploit
     line structure receive it through the profile, never raw distances.
-    ``agent_ids`` records which original agents the rows belong to, in row
-    order, so restricted profiles stay traceable.
     """
 
     rankings: np.ndarray
     line_axis: tuple[int, ...] | None = None
-    agent_ids: tuple[int, ...] | None = None
 
     def __post_init__(self):
         rk = np.array(self.rankings, dtype=np.int64)
@@ -118,12 +115,12 @@ class OrdinalProfile:
         return np.sort(self.rankings[0])
 
     def restrict(self, voters: Iterable[int]) -> "OrdinalProfile":
-        """Profile containing only the given voters (rows sorted by agent id)."""
-        ids = self.agent_ids or tuple(range(self.num_voters))
-        pos_of = {agent: row for row, agent in enumerate(ids)}
-        kept = sorted(voters)
-        rows = [pos_of[v] for v in kept]
-        return OrdinalProfile(self.rankings[rows], self.line_axis, tuple(kept))
+        """Profile of the given rows, in ascending order.
+
+        Row i of the instance's profile is agent i, so a district's profile
+        is the slice at its members.
+        """
+        return OrdinalProfile(self.rankings[sorted(voters)], self.line_axis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,16 +380,18 @@ def _validate_distance_matrix(mat: np.ndarray):
     if bad_diag.size:
         i = int(bad_diag[0][0])
         raise NonzeroDiagonal(f"d({i},{i}) = {mat[i, i]} is nonzero")
-    # shortest two-hop path per pair; anything longer violates the triangle
-    best = np.full_like(mat, np.inf)
-    for x in range(size):
-        np.minimum(best, mat[:, x:x + 1] + mat[x:x + 1, :], out=best)
-    viol = np.argwhere(mat > best + TRIANGLE_TOL)
-    if viol.size:
-        i, j = (int(v) for v in viol[0])
-        through = mat[i, :] + mat[:, j]
-        x = int(np.argmin(through))
-        raise TriangleViolation(i, j, x, float(mat[i, j] - through[x]))
+    # shortest two-hop path per pair; anything longer violates the triangle.
+    # A sum that overflows to inf still exceeds every entry.
+    with np.errstate(over="ignore"):
+        best = np.full_like(mat, np.inf)
+        for x in range(size):
+            np.minimum(best, mat[:, x:x + 1] + mat[x:x + 1, :], out=best)
+        viol = np.argwhere(mat > best + TRIANGLE_TOL)
+        if viol.size:
+            i, j = (int(v) for v in viol[0])
+            through = mat[i, :] + mat[:, j]
+            x = int(np.argmin(through))
+            raise TriangleViolation(i, j, x, float(mat[i, j] - through[x]))
 
 
 def _explicit_instance_from_ids(mat: np.ndarray, districts, num_agents: int,
@@ -444,8 +443,7 @@ def ordinal_profile(instance: Instance) -> OrdinalProfile:
     profile a deterministic function of the instance.
     """
     rankings = np.argsort(instance.agent_alt, axis=1, kind="stable")
-    return OrdinalProfile(rankings, instance.line_axis(),
-                          tuple(range(instance.num_agents)))
+    return OrdinalProfile(rankings, instance.line_axis())
 
 
 # ---------------------------------------------------------------------------

@@ -205,9 +205,9 @@ def compose(in_rule, over_rule,
     return Mechanism(in_rule, over_rule, selection_mode)
 
 
-def _select_in(rule, members: np.ndarray, profile: OrdinalProfile) -> int:
+def _select_in(rule, members: Sequence[int], profile: OrdinalProfile) -> int:
     """One district's representative under an ordinal rule, from its rankings."""
-    return rule.select_ordinal(profile.restrict(members.tolist()))
+    return rule.select_ordinal(profile.restrict(members))
 
 
 def _representatives(rule, instance: Instance) -> tuple[int, ...]:
@@ -229,7 +229,7 @@ def _representatives(rule, instance: Instance) -> tuple[int, ...]:
     if key not in cache:
         profile = instance.profile()
         cache[key] = tuple(_select_in(rule, members, profile)
-                           for members in instance.district_arrays())
+                           for members in instance.districts)
     return cache[key]
 
 
@@ -237,14 +237,13 @@ def _pseudo_profile(instance: Instance, reps: Sequence[int],
                     candidates: np.ndarray) -> OrdinalProfile:
     """Rankings of pseudo-voters standing at the representatives."""
     rows = instance.alternative_rankings()[np.array(reps, dtype=np.int64)]
-    if candidates.size != instance.num_alternatives:
-        mask = np.isin(rows, candidates)
-        rows = rows[mask].reshape(len(reps), candidates.size)
     axis = instance.line_axis()
-    if axis is not None and candidates.size != instance.num_alternatives:
-        keep = set(int(c) for c in candidates)
-        axis = tuple(a for a in axis if a in keep)
-    return OrdinalProfile(rows, axis, None)
+    if candidates.size != instance.num_alternatives:
+        rows = rows[np.isin(rows, candidates)].reshape(len(reps), candidates.size)
+        if axis is not None:
+            keep = set(candidates.tolist())
+            axis = tuple(a for a in axis if a in keep)
+    return OrdinalProfile(rows, axis)
 
 
 def check_metric(mechanism: Mechanism, line: bool) -> None:

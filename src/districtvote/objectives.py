@@ -68,6 +68,19 @@ def _power_means(mat: np.ndarray, p: float) -> np.ndarray:
         return np.where(kept | (top == 0), direct, scaled)
 
 
+def _means(mat: np.ndarray) -> np.ndarray:
+    """The mean along axis 0 of ``mat``.
+
+    A sum that overflows falls back to the power mean of exponent 1, which
+    scales by the largest entry, so finite distances keep a finite mean.
+    """
+    try:
+        with np.errstate(over="raise"):
+            return np.mean(mat, axis=0)
+    except FloatingPointError:
+        return _power_means(mat, 1.0)
+
+
 @dataclass(frozen=True)
 class InnerObjective:
     """Aggregates a distance vector into one number.
@@ -103,7 +116,7 @@ class InnerObjective:
     def value(self, v: np.ndarray) -> float:
         v = np.asarray(v, dtype=np.float64)
         if self.kind == AVG_KIND:
-            return float(v.mean())
+            return float(_means(v))
         if self.kind == MAX_KIND:
             return float(v.max())
         if self.kind == PMEAN_KIND:
@@ -114,7 +127,7 @@ class InnerObjective:
         """Apply the aggregator to every column of a (voters x candidates) block."""
         mat = np.asarray(mat, dtype=np.float64)
         if self.kind == AVG_KIND:
-            return mat.mean(axis=0)
+            return _means(mat)
         if self.kind == MAX_KIND:
             return mat.max(axis=0)
         if self.kind == PMEAN_KIND:

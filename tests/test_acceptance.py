@@ -259,7 +259,7 @@ def test_criterion_5_rule_level_distortion():
         k = int(rng.integers(1, 5))
         reps = [int(r) for r in rng.integers(0, m, k)]
         rows = inst.alternative_rankings()[np.array(reps)]
-        profile = dv.OrdinalProfile(rows, inst.line_axis(), None)
+        profile = dv.OrdinalProfile(rows, inst.line_axis())
         winner = dv.median_line_rule(profile, reps)
         totals = inst.alt_alt[np.array(reps)].sum(axis=0)
         assert totals[winner] == pytest.approx(float(totals.min()), abs=EXACT)

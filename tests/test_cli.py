@@ -143,6 +143,24 @@ def test_eval_malformed_instance_file(capsys, tmp_path, document, error):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("document, costs", [
+    # an alternative at 1e308: district 0's two distances sum past the float range
+    (_line_document([[0.0, 1.0], [2.0]], [[0, 1], [2]], [0.5, 1e308]), [1.0, 1e308]),
+    # two agents and two alternatives, every distance 1e308
+    ({**_explicit_document([[0.0 if i == j else 1e308 for j in range(4)]
+                            for i in range(4)]), "alternatives": 2}, [1e308, 1e308]),
+])
+def test_eval_avg_stays_finite_on_huge_distances(capsys, tmp_path, document, costs):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, out, err = run_cli(capsys, "eval", str(path),
+                             "compose:optimal,optimal", "avg.avg")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["alternative_costs"] == costs
+    assert report["ratio"] == 1.0
+
+
 _FUZZ_INSTANCES = [
     _line_document([[0.0, 1.0], [2.0]], [[0, 1], [2]], [0.5, 1.8]),
     {"metric": {"type": "line", "agent_positions": [[2.0, 0.0], [1.5]]},
@@ -512,6 +530,17 @@ def test_verify_bounds_line_only_mechanism_on_euclidean(capsys, tmp_path,
     assert list(out_dir.iterdir()) == []
 
 
+def test_verify_bounds_unbuildable_family_aborts_before_sweeping(capsys, tmp_path):
+    config = write_config(tmp_path, families=["avg-max-golden"], fib_index=40)
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "verify-bounds", "--config", config,
+                             "--out", str(out_dir))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(out_dir.iterdir()) == []
+
+
 def test_verify_bounds_seed_override_changes_rows(capsys, tmp_path):
     config = write_config(tmp_path, families=[])
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -568,6 +597,9 @@ def test_verify_bounds_invalid_configs(capsys, tmp_path, mutation):
     # json.load reads the NaN literal that json.dumps writes
     ({"bounds": {"arl:2|max.max": math.nan}},
      "bound override 'arl:2|max.max' must be finite"),
+    ({"bounds": {"compose:optimal,optimal|avg.avgg": 1.0}},
+     "bound override 'compose:optimal,optimal|avg.avgg' names no configured "
+     "mechanism|objective cell"),
 ])
 def test_verify_bounds_wrong_typed_or_unbounded_config(capsys, tmp_path, mutation,
                                                        message):

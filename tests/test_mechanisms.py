@@ -1,13 +1,15 @@
 """Two-step mechanisms: composition, traces, thresholds, claimed bounds."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
 import districtvote as dv
-from districtvote import mechanisms
+from districtvote import distortion, mechanisms
 from districtvote.objectives import ALL_PROPERTIES
 
 from .strategies import line_instances
@@ -44,6 +46,32 @@ def test_worked_run_optimal_optimal(worked):
     assert trace.representatives == (0, 1)
     assert trace.winner == 0
     assert trace.per_step_candidates == ((0, 1), (0, 1))
+
+
+def _benchmark_spans():
+    """The benchmark's tracer module, loaded from ``perfbench/spans.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_sees_every_ordinal_in_step():
+    # the tracer patches these names by lookup; renaming one breaks traced runs
+    inst = dv.build_line_instance([[0.0, 0.3], [0.5, 0.6], [0.9]], [0.1, 0.5, 0.8])
+    recorder = _benchmark_spans().Recorder()
+    recorder.install()
+    try:
+        for spec in ("compose:plurality-matching,plurality-matching",
+                     "arbitrary-median"):
+            objective = dv.parse_objective("avg.max")
+            distortion.evaluate(dv.parse_mechanism(spec, objective), inst, objective)
+    finally:
+        recorder.uninstall()
+    calls = recorder.calls
+    assert (calls["instances.restrict"], calls["mechanisms.select_in"],
+            calls["rules.in"]) == (6, 6, 6)
 
 
 def test_single_district_collapse():
