@@ -9,6 +9,7 @@ winner does not, the ratio is reported as infinite.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,7 +20,7 @@ from .errors import GeneratorError, NotLineMetric
 from .instances import (
     LINE,
     Instance,
-    _consecutive_ids,
+    _consecutive_districts,
     _line_instance_from_ids,
     _trusted_instance,
     build_euclidean_instance,
@@ -128,8 +129,14 @@ class GeneratorSpec:
             raise GeneratorError("generator low, high and high - low must be finite")
         if not (self.low < self.high):
             raise GeneratorError("generator needs low < high")
-        if self.kind == "euclidean" and self.dim < 1:
-            raise GeneratorError("euclidean generator needs dim >= 1")
+        if self.kind == "euclidean":
+            if self.dim < 1:
+                raise GeneratorError("euclidean generator needs dim >= 1")
+            # a box diagonal whose square overflows makes every distance inf;
+            # int / int, so a dim beyond float range cannot overflow the quotient
+            if self.high - self.low > math.sqrt(int(sys.float_info.max) / self.dim):
+                raise GeneratorError("euclidean generator box is too wide: "
+                                     "distances across it overflow")
 
     @property
     def is_line(self) -> bool:
@@ -153,12 +160,12 @@ def random_instance(rng: np.random.Generator, spec: GeneratorSpec) -> Instance:
     else:
         cuts = np.sort(rng.choice(np.arange(1, n), size=k - 1, replace=False))
         sizes = np.diff(np.concatenate([[0], cuts, [n]])).tolist()
-    # a validated spec's box is finite and its districts consecutive, so the
-    # instance needs no checks
+    # a validated spec's box is finite, so are the distances across it, and
+    # its districts are consecutive, so the instance needs no checks
     shape = (n,) if spec.kind == LINE else (n, spec.dim)
     agents = rng.uniform(spec.low, spec.high, shape)
     alts = rng.uniform(spec.low, spec.high, (m,) + shape[1:])
-    return _trusted_instance(spec.kind, agents, _consecutive_ids(sizes), alts)
+    return _trusted_instance(spec.kind, agents, _consecutive_districts(sizes), alts)
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:

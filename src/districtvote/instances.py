@@ -9,11 +9,12 @@ are supported:
 * ``explicit``   -- a full symmetric distance matrix over the n + m points
                     (agents first, then alternatives).
 
-Instances are immutable once built; the distance blocks the rest of the
-package needs (agent-to-alternative and alternative-to-alternative) are
-precomputed and frozen. Ordinal preference profiles are derived from the
-metric with a canonical tie-break: an agent ranks alternatives by distance,
-and equidistant alternatives by ascending alternative id.
+An ``Instance`` names its kind and holds its own points (line and euclidean)
+or its matrix (explicit), next to the distance blocks the rest of the package
+reads: agent-to-alternative and alternative-to-alternative. Every array it
+holds is read-only. Ordinal preference profiles are derived from the
+distances with a canonical tie-break: an agent ranks alternatives by
+distance, and equidistant alternatives by ascending alternative id.
 
 Everything derived from an instance is computed once and kept in the
 instance's own cache, which lives and dies with it: the ordinal profile,
@@ -23,9 +24,11 @@ content key here; the (k, m) district aggregates of each inner objective
 each ordinal in-rule's representatives (``mechanisms.run``, keyed by the
 rule). Every mechanism and objective evaluated on one instance shares them.
 
-The public builders check everything they are given. Instances the package
-generates itself (random draws, hill-climbing rebuilds) go through
-``_trusted_instance``, which skips the checks and copies.
+Every line and euclidean instance is assembled by ``_trusted_instance``, the
+one place their distances are computed. The public builders and the JSON
+reader check everything they are given first, through ``_points_instance``;
+instances the package generates itself (random draws, hill-climbing
+rebuilds) reach ``_trusted_instance`` directly, without checks or copies.
 """
 
 from __future__ import annotations
@@ -64,23 +67,6 @@ def _freeze(values, dtype=np.float64, ndim=None) -> np.ndarray:
         raise ValueError("coordinates and distances must be finite")
     arr.flags.writeable = False
     return arr
-
-
-@dataclass(frozen=True, eq=False)
-class Metric:
-    """Distance structure over the instance's n + m points.
-
-    Exactly one representation is populated per kind:
-
-    * line:      agent_points (n,), alternative_points (m,)
-    * euclidean: agent_points (n, dim), alternative_points (m, dim)
-    * explicit:  matrix (n+m, n+m), agents indexed first
-    """
-
-    kind: str
-    agent_points: np.ndarray | None = None
-    alternative_points: np.ndarray | None = None
-    matrix: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,23 +111,40 @@ class OrdinalProfile:
 
 @dataclass(frozen=True, eq=False)
 class Instance:
-    """An election instance: agents, alternatives, districts, metric.
+    """An election instance: agents, alternatives, districts, one metric.
 
-    ``agent_alt[i, j]`` is the distance from agent i to alternative j;
-    ``alt_alt`` the alternative-to-alternative block. Both are read-only.
+    ``kind`` names the metric. A line or euclidean instance holds its points:
+    ``agent_points`` (n,) or (n, dim) and ``alternative_points`` (m,) or
+    (m, dim). An explicit instance holds ``matrix``, the (n+m, n+m) distances
+    with agents indexed first. ``agent_alt[i, j]`` is the distance from agent
+    i to alternative j; ``alt_alt`` the alternative-to-alternative block.
+    Every array the instance holds is read-only.
     """
 
-    num_agents: int
-    num_alternatives: int
+    kind: str
     districts: tuple[tuple[int, ...], ...]
-    metric: Metric
     agent_alt: np.ndarray = field(repr=False)
     alt_alt: np.ndarray = field(repr=False)
+    agent_points: np.ndarray | None = None
+    alternative_points: np.ndarray | None = None
+    matrix: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        for arr in (self.agent_alt, self.alt_alt, self.agent_points,
+                    self.alternative_points, self.matrix):
+            if arr is not None:
+                arr.flags.writeable = False
         object.__setattr__(self, "_cache", {})
 
     # -- convenience views -------------------------------------------------
+
+    @property
+    def num_agents(self) -> int:
+        return self.agent_alt.shape[0]
+
+    @property
+    def num_alternatives(self) -> int:
+        return self.agent_alt.shape[1]
 
     @property
     def num_districts(self) -> int:
@@ -149,17 +152,17 @@ class Instance:
 
     @property
     def is_line(self) -> bool:
-        return self.metric.kind == LINE
+        return self.kind == LINE
 
     @property
     def agent_positions(self) -> np.ndarray | None:
         """Line coordinates of agents by id (line instances only)."""
-        return self.metric.agent_points if self.is_line else None
+        return self.agent_points if self.is_line else None
 
     @property
     def alternative_positions(self) -> np.ndarray | None:
         """Line coordinates of alternatives by id (line instances only)."""
-        return self.metric.alternative_points if self.is_line else None
+        return self.alternative_points if self.is_line else None
 
     def district_arrays(self) -> tuple[np.ndarray, ...]:
         """Districts as integer arrays (cached)."""
@@ -236,56 +239,17 @@ def _canonical_districts(districts) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(int(a) for a in d)) for d in districts)
 
 
-def _consecutive_ids(sizes: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Districts of consecutive agent ids with the given sizes."""
+def _consecutive_districts(sizes: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Districts of consecutive agent ids with the given sizes, none empty."""
+    if not sizes:
+        raise EmptyDistrict("an instance needs at least one district")
     districts, start = [], 0
-    for s in sizes:
+    for d, s in enumerate(sizes):
+        if s <= 0:
+            raise EmptyDistrict(f"district {d} has no agents")
         districts.append(tuple(range(start, start + s)))
         start += s
     return tuple(districts)
-
-
-def _assemble(metric: Metric, agent_alt: np.ndarray, alt_alt: np.ndarray,
-              districts: tuple[tuple[int, ...], ...]) -> Instance:
-    agent_alt.flags.writeable = False
-    alt_alt.flags.writeable = False
-    num_agents, num_alternatives = agent_alt.shape
-    return Instance(
-        num_agents=num_agents,
-        num_alternatives=num_alternatives,
-        districts=districts,
-        metric=metric,
-        agent_alt=agent_alt,
-        alt_alt=alt_alt,
-    )
-
-
-def _make_instance(parts, agent_points: np.ndarray, alternative_points: np.ndarray,
-                   districts) -> Instance:
-    """Assemble checked points whose ``districts`` partition the agents.
-
-    Finite points can lie too far apart for a float distance, so that is checked.
-    """
-    with np.errstate(over="ignore"):
-        metric, agent_alt, alt_alt = parts(agent_points, alternative_points)
-    if not (np.isfinite(agent_alt).all() and np.isfinite(alt_alt).all()):
-        raise ValueError("distances between the points overflow")
-    return _assemble(metric, agent_alt, alt_alt, _canonical_districts(districts))
-
-
-def _line_parts(agent_pos: np.ndarray, alt_pos: np.ndarray):
-    """The metric and the two distance blocks of line positions."""
-    metric = Metric(kind=LINE, agent_points=agent_pos, alternative_points=alt_pos)
-    return (metric, np.abs(agent_pos[:, None] - alt_pos[None, :]),
-            np.abs(alt_pos[:, None] - alt_pos[None, :]))
-
-
-def _euclidean_parts(agent_xy: np.ndarray, alt_xy: np.ndarray):
-    """The metric and the two distance blocks of euclidean coordinates."""
-    metric = Metric(kind=EUCLIDEAN, agent_points=agent_xy, alternative_points=alt_xy)
-    return (metric,
-            np.linalg.norm(agent_xy[:, None, :] - alt_xy[None, :, :], axis=2),
-            np.linalg.norm(alt_xy[:, None, :] - alt_xy[None, :, :], axis=2))
 
 
 def _trusted_instance(kind: str, agent_points: np.ndarray,
@@ -293,35 +257,51 @@ def _trusted_instance(kind: str, agent_points: np.ndarray,
                       alternative_points: np.ndarray) -> Instance:
     """A line or euclidean instance assembled without checks or copies.
 
-    Only for instances the package generates itself. The caller vouches
-    that the points are finite float64 arrays (shape (n,) on a line,
+    The only place line and euclidean distances are computed. The caller
+    vouches that the points are finite float64 arrays (shape (n,) on a line,
     (n, dim) in euclidean space) and that ``districts`` is already canonical:
     sorted id tuples partitioning the agents. The point arrays become
     read-only here, so the caller must not write to them afterwards.
     """
-    agent_points.flags.writeable = False
-    alternative_points.flags.writeable = False
-    parts = _line_parts if kind == LINE else _euclidean_parts
-    return _assemble(*parts(agent_points, alternative_points), districts)
+    def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        diff = a[:, None] - b[None, :]
+        return np.abs(diff) if kind == LINE else np.linalg.norm(diff, axis=2)
+
+    return Instance(kind, districts, distances(agent_points, alternative_points),
+                    distances(alternative_points, alternative_points),
+                    agent_points, alternative_points)
 
 
-def _line_instance_from_ids(agent_positions: np.ndarray, districts,
-                            alternative_positions: np.ndarray) -> Instance:
-    agent_pos = _freeze(agent_positions, ndim=1)
-    alt_pos = _freeze(alternative_positions, ndim=1)
-    if alt_pos.size == 0:
+def _points_instance(kind: str, agent_points, districts,
+                     alternative_points) -> Instance:
+    """Check points whose ``districts`` partition the agents, then assemble them.
+
+    Finite points can lie too far apart for a float distance, so that is checked.
+    """
+    if len(alternative_points) == 0:
         raise NoAlternatives("an instance needs at least one alternative")
-    return _make_instance(_line_parts, agent_pos, alt_pos, districts)
+    ndim = 1 if kind == LINE else 2
+    agents = _freeze(agent_points, ndim=ndim)
+    alts = _freeze(alternative_points, ndim=ndim)
+    if kind == EUCLIDEAN:
+        if alts.shape[1] < 1:
+            raise ValueError("euclidean coordinates need dimension >= 1")
+        if agents.shape[1] != alts.shape[1]:
+            raise ValueError("agent and alternative coordinate dimensions differ")
+    with np.errstate(over="ignore"):
+        instance = _trusted_instance(kind, agents, _canonical_districts(districts),
+                                     alts)
+    if not (np.isfinite(instance.agent_alt).all()
+            and np.isfinite(instance.alt_alt).all()):
+        raise ValueError("distances between the points overflow")
+    return instance
 
 
-def _consecutive_districts(blocks: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:
-    """Districts of consecutive agent ids, one per non-empty block."""
-    if not blocks:
-        raise EmptyDistrict("an instance needs at least one district")
-    for d, block in enumerate(blocks):
-        if len(block) == 0:
-            raise EmptyDistrict(f"district {d} has no agents")
-    return _consecutive_ids([len(block) for block in blocks])
+# perfbench/spans.py wraps this name (as bound in ``distortion``) to time
+# builds, so it stays until the tracer wraps ``_trusted_instance`` instead.
+def _line_instance_from_ids(agent_positions, districts,
+                            alternative_positions) -> Instance:
+    return _points_instance(LINE, agent_positions, districts, alternative_positions)
 
 
 def build_line_instance(agent_positions_by_district: Sequence[Sequence[float]],
@@ -332,36 +312,18 @@ def build_line_instance(agent_positions_by_district: Sequence[Sequence[float]],
     agents; the first district holds agents 0..len-1, the next continues the
     numbering, and so on. Alternative j sits at ``alternative_positions[j]``.
     """
-    if len(alternative_positions) == 0:
-        raise NoAlternatives("an instance needs at least one alternative")
-    districts = _consecutive_districts(agent_positions_by_district)
+    districts = _consecutive_districts([len(b) for b in agent_positions_by_district])
     flat = [float(p) for block in agent_positions_by_district for p in block]
-    return _line_instance_from_ids(np.array(flat), districts,
-                                   np.array([float(p) for p in alternative_positions]))
-
-
-def _euclidean_instance_from_ids(agent_coords: np.ndarray, districts,
-                                 alternative_coords: np.ndarray) -> Instance:
-    agent_xy = _freeze(agent_coords, ndim=2)
-    alt_xy = _freeze(alternative_coords, ndim=2)
-    if alt_xy.shape[0] == 0:
-        raise NoAlternatives("an instance needs at least one alternative")
-    if alt_xy.shape[1] < 1:
-        raise ValueError("euclidean coordinates need dimension >= 1")
-    if agent_xy.shape[1] != alt_xy.shape[1]:
-        raise ValueError("agent and alternative coordinate dimensions differ")
-    return _make_instance(_euclidean_parts, agent_xy, alt_xy, districts)
+    return _points_instance(LINE, flat, districts,
+                            [float(p) for p in alternative_positions])
 
 
 def build_euclidean_instance(agent_coords_by_district: Sequence[Sequence[Sequence[float]]],
                              alternative_coords: Sequence[Sequence[float]]) -> Instance:
     """Euclidean counterpart of :func:`build_line_instance`."""
-    if len(alternative_coords) == 0:
-        raise NoAlternatives("an instance needs at least one alternative")
-    districts = _consecutive_districts(agent_coords_by_district)
+    districts = _consecutive_districts([len(b) for b in agent_coords_by_district])
     flat = [xy for block in agent_coords_by_district for xy in block]
-    return _euclidean_instance_from_ids(np.array(flat, dtype=np.float64), districts,
-                                        np.array(alternative_coords, dtype=np.float64))
+    return _points_instance(EUCLIDEAN, flat, districts, alternative_coords)
 
 
 def _validate_distance_matrix(mat: np.ndarray):
@@ -372,11 +334,15 @@ def _validate_distance_matrix(mat: np.ndarray):
     if neg.size:
         i, j = (int(v) for v in neg[0])
         raise NegativeDistance(f"d({i},{j}) = {mat[i, j]} is negative")
-    asym = np.argwhere(np.abs(mat - mat.T) > TRIANGLE_TOL)
+    # each slack is relative to the entries it compares (d(i,i) to i's nearest
+    # other point), so rounding is forgiven at any scale and one far point
+    # loosens no check on near ones
+    asym = np.argwhere(np.abs(mat - mat.T) > TRIANGLE_TOL * np.maximum(mat, mat.T))
     if asym.size:
         i, j = (int(v) for v in asym[0])
         raise AsymmetricMatrix(f"d({i},{j}) != d({j},{i})")
-    bad_diag = np.argwhere(np.abs(np.diag(mat)) > TRIANGLE_TOL)
+    nearest = np.where(np.eye(size, dtype=bool), np.inf, mat).min(axis=1)
+    bad_diag = np.argwhere(np.diag(mat) > TRIANGLE_TOL * nearest)
     if bad_diag.size:
         i = int(bad_diag[0][0])
         raise NonzeroDiagonal(f"d({i},{i}) = {mat[i, i]} is nonzero")
@@ -386,7 +352,7 @@ def _validate_distance_matrix(mat: np.ndarray):
         best = np.full_like(mat, np.inf)
         for x in range(size):
             np.minimum(best, mat[:, x:x + 1] + mat[x:x + 1, :], out=best)
-        viol = np.argwhere(mat > best + TRIANGLE_TOL)
+        viol = np.argwhere(mat > best + TRIANGLE_TOL * mat)
         if viol.size:
             i, j = (int(v) for v in viol[0])
             through = mat[i, :] + mat[:, j]
@@ -394,12 +360,11 @@ def _validate_distance_matrix(mat: np.ndarray):
             raise TriangleViolation(i, j, x, float(mat[i, j] - through[x]))
 
 
-def _explicit_instance_from_ids(mat: np.ndarray, districts, num_agents: int,
-                                num_alternatives: int) -> Instance:
-    metric = Metric(kind=EXPLICIT, matrix=mat)
-    agent_alt = mat[:num_agents, num_agents:].copy()
-    alt_alt = mat[num_agents:, num_agents:].copy()
-    return _assemble(metric, agent_alt, alt_alt, _canonical_districts(districts))
+def _explicit_instance_from_ids(mat: np.ndarray, districts,
+                                num_agents: int) -> Instance:
+    return Instance(EXPLICIT, _canonical_districts(districts),
+                    mat[:num_agents, num_agents:].copy(),
+                    mat[num_agents:, num_agents:].copy(), matrix=mat)
 
 
 def build_explicit_instance(distances: Sequence[Sequence[float]],
@@ -409,16 +374,13 @@ def build_explicit_instance(distances: Sequence[Sequence[float]],
 
     Point order is agents first (grouped into districts of the given sizes,
     consecutive ids), then alternatives. The matrix must be symmetric and
-    nonnegative with zero diagonal and satisfy the triangle inequality up to
-    a slack of 1e-9.
+    nonnegative with zero diagonal and satisfy the triangle inequality, each
+    up to a slack of ``TRIANGLE_TOL`` relative to the entries compared.
     """
     if num_alternatives < 1:
         raise NoAlternatives("an instance needs at least one alternative")
     sizes = [int(s) for s in district_sizes]
-    if not sizes:
-        raise EmptyDistrict("an instance needs at least one district")
-    if any(s <= 0 for s in sizes):
-        raise EmptyDistrict("every district needs at least one agent")
+    districts = _consecutive_districts(sizes)
     mat = _freeze(distances, ndim=2)
     num_agents = sum(sizes)
     if mat.shape[0] != num_agents + num_alternatives:
@@ -427,8 +389,7 @@ def build_explicit_instance(distances: Sequence[Sequence[float]],
             f"alternatives {num_alternatives}"
         )
     _validate_distance_matrix(mat)
-    return _explicit_instance_from_ids(mat, _consecutive_ids(sizes), num_agents,
-                                       num_alternatives)
+    return _explicit_instance_from_ids(mat, districts, num_agents)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +422,7 @@ _METRIC_KEYS = {
 def instance_to_json(instance: Instance) -> dict:
     """Serialize to the canonical JSON-ready dict."""
     districts = [list(d) for d in instance.districts]
-    kind = instance.metric.kind
+    kind = instance.kind
     if kind == LINE:
         pos = instance.agent_positions
         metric = {
@@ -470,18 +431,18 @@ def instance_to_json(instance: Instance) -> dict:
             "alternative_positions": [float(p) for p in instance.alternative_positions],
         }
     elif kind == EUCLIDEAN:
-        xy = instance.metric.agent_points
+        xy = instance.agent_points
         metric = {
             "type": EUCLIDEAN,
             "agent_coords": [[[float(c) for c in xy[a]] for a in d]
                              for d in instance.districts],
             "alternative_coords": [[float(c) for c in row]
-                                   for row in instance.metric.alternative_points],
+                                   for row in instance.alternative_points],
         }
     else:
         metric = {
             "type": EXPLICIT,
-            "distances": [[float(v) for v in row] for row in instance.metric.matrix],
+            "distances": [[float(v) for v in row] for row in instance.matrix],
         }
     return {"metric": metric, "districts": districts,
             "alternatives": instance.num_alternatives}
@@ -577,7 +538,7 @@ def instance_from_json(data: dict) -> Instance:
         if alternatives < 1:
             raise NoAlternatives("an instance needs at least one alternative")
         _validate_distance_matrix(mat)
-        return _explicit_instance_from_ids(mat, districts, num_agents, alternatives)
+        return _explicit_instance_from_ids(mat, districts, num_agents)
 
     agents_key, alts_key = _POINT_KEYS[kind]
     if agents_key not in metric:
@@ -595,8 +556,7 @@ def instance_from_json(data: dict) -> Instance:
     flat = _floats(metric[agents_key], depth + 1, agents_key, districts)
     points = np.empty_like(flat)
     points[[a for d in districts for a in d]] = flat
-    build = _line_instance_from_ids if kind == LINE else _euclidean_instance_from_ids
-    return build(points, districts, alt_points)
+    return _points_instance(kind, points, districts, alt_points)
 
 
 def save_instance(instance: Instance, path) -> None:

@@ -5,7 +5,11 @@
 EXACT_TOL = 1e-12
 #: Absolute slack applied to user-supplied floating point data.
 USER_TOL = 1e-9
-#: Absolute slack when validating metric axioms on user-supplied matrices.
+#: Slack on the metric axioms of a user-supplied distance matrix, relative to
+#: the entries each check compares: d(i,j) may differ from d(j,i), and exceed
+#: a two-hop path, by ``TRIANGLE_TOL`` times the larger entry; d(i,i) may be up
+#: to ``TRIANGLE_TOL`` times the distance from i to its nearest other point.
+#: Rounding is forgiven and a violation caught at any scale.
 TRIANGLE_TOL = 1e-9
 #: Absolute slack when comparing a scale-free distortion ratio with a bound.
 BOUND_TOL = 1e-9

@@ -600,6 +600,8 @@ def test_verify_bounds_invalid_configs(capsys, tmp_path, mutation):
     ({"bounds": {"compose:optimal,optimal|avg.avgg": 1.0}},
      "bound override 'compose:optimal,optimal|avg.avgg' names no configured "
      "mechanism|objective cell"),
+    ({"generator": {"seed": 0, "kind": "euclidean", "high": 1e200}},
+     "euclidean generator box is too wide: distances across it overflow"),
 ])
 def test_verify_bounds_wrong_typed_or_unbounded_config(capsys, tmp_path, mutation,
                                                        message):

@@ -106,10 +106,21 @@ def test_generator_spec_defaults_validate():
     {"high": math.inf},
     {"low": math.nan},
     {"low": -1e308, "high": 1e308},
+    # squared coordinate gaps overflow, so every distance would be inf
+    {"kind": "euclidean", "high": 1e200},
+    {"kind": "euclidean", "high": 1e155, "dim": 2},
 ])
 def test_generator_spec_rejects(kwargs):
     with pytest.raises(dv.GeneratorError):
         dv.GeneratorSpec(**kwargs).validate()
+
+
+def test_generator_spec_accepts_widest_finite_euclidean_box():
+    spec = dv.GeneratorSpec(kind="euclidean", high=1e153)
+    result = dv.sweep(make("compose:optimal,optimal", "avg.max"),
+                      dv.parse_objective("avg.max"), spec, trials=5)
+    assert 1.0 <= result.max_ratio < np.inf
+    assert np.isfinite(result.witness.agent_alt).all()
 
 
 def test_fixed_generator_returns_the_instance(worked):
@@ -151,8 +162,8 @@ def test_random_instance_euclidean_dim():
                             m_range=(2, 2), k_range=(2, 2))
     inst = dv.random_instance(np.random.default_rng(1), spec)
     assert not inst.is_line
-    assert inst.metric.agent_points.shape == (3, 3)
-    assert inst.metric.alternative_points.shape == (2, 3)
+    assert inst.agent_points.shape == (3, 3)
+    assert inst.alternative_points.shape == (2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +449,8 @@ def reference_cost_vector(instance, objective):
 
 def _explicit_from_points(inst):
     """The same agents and alternatives as an explicit distance matrix."""
-    points = np.concatenate([inst.metric.agent_points,
-                             inst.metric.alternative_points])
+    points = np.concatenate([inst.agent_points,
+                             inst.alternative_points])
     if points.ndim == 1:
         points = points[:, None]
     mat = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
@@ -499,7 +510,7 @@ def test_cached_runs_match_uncached_path_on_default_cells(order_seed):
     kinds = set()
     for instance in _shared_instances():
         assert _check_cells_on_shared(instance, cells, rng) > 0
-        kinds.add(instance.metric.kind)
+        kinds.add(instance.kind)
     assert kinds == {dv.LINE, dv.EUCLIDEAN, dv.EXPLICIT}
 
 

@@ -124,6 +124,35 @@ def test_triangle_tolerance_accepts_tiny_excess():
     assert inst.num_agents == 2
 
 
+@pytest.mark.parametrize("scale, far", [(1e-12, None), (1e12, None), (1.0, 1e10)])
+def test_matrix_checks_scale_with_the_distances(scale, far):
+    # far: one more alternative that far from every point, which must not
+    # loosen the checks among the others
+    def build(mat):
+        mat = np.array(mat, dtype=float) * scale
+        if far is not None:
+            mat = np.pad(mat, (0, 1), constant_values=far)
+            mat[-1, -1] = 0.0
+        return dv.build_explicit_instance(mat, [2], len(mat) - 2)
+
+    with pytest.raises(dv.TriangleViolation):
+        build([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
+    with pytest.raises(dv.AsymmetricMatrix):
+        build([[0, 1, 2], [1, 0, 1], [2.5, 1, 0]])
+    with pytest.raises(dv.NonzeroDiagonal):
+        build([[0.5, 1, 2], [1, 0, 1], [2, 1, 0]])
+    build([[0, 1, 2], [1, 0, 1], [2, 1, 0]])  # a metric at the same scale passes
+
+
+def test_matrix_of_large_line_points_is_accepted():
+    # |p_i - p_j| rounds at 1e9, past any absolute slack
+    for seed in range(200):
+        p = np.random.default_rng(seed).uniform(0.0, 1.0, 8) * 1e9
+        mat = np.abs(p[:, None] - p[None, :])
+        inst = dv.build_explicit_instance(mat, [3, 2], 3)
+        assert inst.agent_alt.tobytes() == mat[:5, 5:].tobytes()
+
+
 def test_triangle_check_does_not_warn_on_overflowing_sums():
     big = 1e308
     with warnings.catch_warnings():
@@ -279,8 +308,10 @@ def assert_same_instance(got, want):
         a, b = getattr(got, name), getattr(want, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
         assert not a.flags.writeable
-    assert got.metric.agent_points.tobytes() == want.metric.agent_points.tobytes()
-    assert not got.metric.agent_points.flags.writeable
+    for name in ("agent_points", "alternative_points"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.tobytes() == b.tobytes(), name
+        assert not a.flags.writeable
     assert got.districts == want.districts
     assert got.content_key() == want.content_key()
 
@@ -301,6 +332,31 @@ def test_random_instance_equals_public_builders_on_same_draws(spec):
 # ---------------------------------------------------------------------------
 # JSON round-trips
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", [dv.LINE, dv.EUCLIDEAN, dv.EXPLICIT])
+@pytest.mark.parametrize("read_back", [False, True], ids=["built", "from-json"])
+def test_instance_arrays_are_read_only(kind, read_back):
+    if kind == dv.LINE:
+        inst = dv.build_line_instance([[0.0, 1.0], [2.0]], [0.5, 1.8])
+    elif kind == dv.EUCLIDEAN:
+        inst = dv.build_euclidean_instance([[[0.0, 0.0]], [[3.0, 4.0]]],
+                                           [[0.0, 0.0], [6.0, 8.0]])
+    else:
+        inst = dv.build_explicit_instance(
+            [[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]], [1, 1], 1)
+    if read_back:
+        inst = dv.instance_from_json(dv.instance_to_json(inst))
+    assert inst.kind == kind
+    assert (inst.num_agents, inst.num_alternatives) == inst.agent_alt.shape
+    held = ["agent_alt", "alt_alt"] + (
+        ["matrix"] if kind == dv.EXPLICIT else ["agent_points", "alternative_points"])
+    for name in held:
+        assert not getattr(inst, name).flags.writeable, name
+    if kind == dv.EXPLICIT:
+        assert inst.agent_points is None and inst.alternative_points is None
+    else:
+        assert inst.matrix is None
+
 
 def test_json_round_trip_line(worked):
     data = dv.instance_to_json(worked)
