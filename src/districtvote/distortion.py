@@ -8,6 +8,7 @@ winner does not, the ratio is reported as infinite.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -28,8 +29,25 @@ from .instances import (
     instance_from_json,
     instance_to_json,
 )
-from .mechanisms import Mechanism, MechanismTrace, run
-from .objectives import ComposedObjective, cost_vector
+from .mechanisms import (
+    REPRESENTATIVES_ONLY,
+    ArbitraryOverRule,
+    LeftmostRepRule,
+    Mechanism,
+    MechanismTrace,
+    ThresholdSelectRule,
+    check_metric,
+    run,
+)
+from .objectives import CUSTOM_KIND, ComposedObjective, cost_vector
+from .rules import (
+    CARDINAL,
+    DictatorRule,
+    MedianLineRule,
+    OptimalRule,
+    dictator_tops,
+    lower_median,
+)
 
 
 @dataclass(frozen=True)
@@ -173,6 +191,214 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
+# block evaluation
+# ---------------------------------------------------------------------------
+
+#: Padded entries (districts x district size x alternatives) that the largest
+#: array of one block of trials holds at most.
+_BLOCK_ENTRIES = 1 << 17
+
+#: Rules whose decisions a block makes with array expressions, per step.
+_BLOCK_IN_RULES = (OptimalRule, ThresholdSelectRule, DictatorRule, MedianLineRule)
+_BLOCK_OVER_RULES = (OptimalRule, ThresholdSelectRule, ArbitraryOverRule,
+                     LeftmostRepRule, MedianLineRule)
+
+
+def _block_trials(spec: GeneratorSpec) -> int:
+    """Trials per block, so that blocks of the largest draws fit the budget."""
+    if spec.kind == "fixed":
+        inst = spec.instance
+        n, m, k = inst.num_agents, inst.num_alternatives, inst.num_districts
+    else:
+        n, m = spec.n_range[1], spec.m_range[1]
+        k = min(spec.k_range[1], n)
+    return max(1, _BLOCK_ENTRIES // (k * n * m))
+
+
+def _batched(mechanism: Mechanism, objective: ComposedObjective) -> bool:
+    """Whether a block decides the cell with array expressions: it knows both
+    rules, and no aggregator the cell uses is custom."""
+    rules = (mechanism.in_rule, mechanism.over_rule)
+    inners = [objective.inner, objective.outer] + [
+        rule.inner for rule in rules if rule.info == CARDINAL]
+    return (type(rules[0]) in _BLOCK_IN_RULES and type(rules[1]) in _BLOCK_OVER_RULES
+            and all(inner.kind != CUSTOM_KIND for inner in inners))
+
+
+def _ratios(winner_costs: np.ndarray, optimal_costs: np.ndarray) -> np.ndarray:
+    """``evaluate``'s ratio for arrays of costs: over a zero optimum, inf
+    unless the winner costs 0 too."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = winner_costs / optimal_costs
+    return np.where(optimal_costs == 0.0,
+                    np.where(winner_costs > 0.0, math.inf, 1.0), ratios)
+
+
+def _block_ratios(cells, instances: list[Instance]) -> np.ndarray:
+    """The (cells, trials) distortion ratios of one block of instances."""
+    try:
+        block = None
+        rows = []
+        for mechanism, objective in cells:
+            if _batched(mechanism, objective):
+                block = block or _Block(instances)
+                rows.append(block.ratios(mechanism, objective))
+            else:
+                rows.append([evaluate(mechanism, instance, objective).ratio
+                             for instance in instances])
+        return np.array(rows, dtype=np.float64)
+    except Exception:
+        # trial-major, so the first error in (trial, cell) order surfaces
+        return np.array([[evaluate(mechanism, instance, objective).ratio
+                          for mechanism, objective in cells]
+                         for instance in instances], dtype=np.float64).T
+
+
+class _Block:
+    """Drawn instances stacked for evaluation with array expressions.
+
+    Alternatives pad to the block's largest m and district members to its
+    largest district. Pads are exact zeros inside every sum and maximum;
+    only after aggregation does an alternative a rule may not choose get
+    value +inf and position -inf (``_offer``). Per-district arrays
+    list every trial's districts in trial order; per-trial arrays pad the
+    districts to the block's largest k.
+    """
+
+    def __init__(self, instances: list[Instance]):
+        self.size = len(instances)
+        self.k = np.array([inst.num_districts for inst in instances])
+        m = [inst.num_alternatives for inst in instances]
+        n = self.agents = [inst.num_agents for inst in instances]
+        width = max(m)
+        self.real = np.arange(width) < np.array(m)[:, None]
+        self.agent_alt = np.zeros((sum(n) + 1, width))   # the last row pads
+        self.alt_alt = np.zeros((self.size, width, width))
+        members, start = [], 0
+        for b, inst in enumerate(instances):
+            self.agent_alt[start:start + n[b], :m[b]] = inst.agent_alt
+            self.alt_alt[b, :m[b], :m[b]] = inst.alt_alt
+            members += [[start + a for a in d] for d in inst.districts]
+            start += n[b]
+        self.sizes = np.array([len(d) for d in members])
+        self.members = np.full((len(members), self.sizes.max()), start)
+        for d, ids in enumerate(members):
+            self.members[d, :len(ids)] = ids
+        self.trial = np.repeat(np.arange(self.size), self.k)
+        self.slot = np.arange(len(members)) - np.repeat(np.cumsum(self.k) - self.k,
+                                                        self.k)
+        self.positions = None
+        if all(inst.is_line for inst in instances):
+            self.positions = np.full(self.real.shape, -math.inf)
+            for b, inst in enumerate(instances):
+                self.positions[b, :m[b]] = inst.alternative_points
+        self._cache: dict = {}
+
+    def _cached(self, key, compute):
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
+
+    def by_trial(self, per_district: np.ndarray) -> np.ndarray:
+        """(districts, ...) rows regrouped as (trials, k, ...), zero-padded."""
+        out = np.zeros((self.size, int(self.k.max()))
+                       + per_district.shape[1:], per_district.dtype)
+        out[self.trial, self.slot] = per_district
+        return out
+
+    @functools.cached_property
+    def tops(self) -> np.ndarray:
+        """Every agent's top alternative, the first of its stable ranking;
+        the pad row's is 0."""
+        real = self.real[np.repeat(np.arange(self.size), self.agents)]
+        tops = np.where(real, self.agent_alt[:-1], math.inf).argmin(axis=-1)
+        return np.append(tops, 0)
+
+    @functools.cached_property
+    def order(self) -> np.ndarray:
+        """Each trial's alternatives left to right, ties by id, pads first."""
+        return np.argsort(self.positions, axis=-1, kind="stable")
+
+    @functools.cached_property
+    def ranks(self) -> np.ndarray:
+        """Each alternative's place in its trial's ``order``."""
+        ranks = np.empty_like(self.order)
+        np.put_along_axis(ranks, self.order, np.arange(self.order.shape[1]), axis=-1)
+        return ranks
+
+    def _offer(self, rule, values: np.ndarray, offered: np.ndarray,
+               rows: np.ndarray) -> np.ndarray:
+        """A cardinal rule's pick among the ``offered`` alternatives of the
+        given trials; the others can be neither least nor rightmost."""
+        positions = (None if self.positions is None
+                     else np.where(offered, self.positions[rows], -math.inf))
+        return rule.pick(np.where(offered, values, math.inf), positions)
+
+    def aggregates(self, inner) -> np.ndarray:
+        """(districts, m) inner aggregates, zero at padded alternatives."""
+        return self._cached(("aggregates", inner), lambda: inner.aggregate(
+            self.agent_alt[self.members], self.sizes[:, None]))
+
+    def costs(self, objective: ComposedObjective) -> np.ndarray:
+        """(trials, m) composed costs, +inf at padded alternatives."""
+        def compute():
+            costs = objective.outer.aggregate(
+                self.by_trial(self.aggregates(objective.inner)), self.k[:, None])
+            return np.where(self.real, costs, math.inf)
+        return self._cached(("costs", objective), compute)
+
+    def representatives(self, rule) -> np.ndarray:
+        """The in-step: one representative per district."""
+        def compute():
+            if rule.info == CARDINAL:
+                return self._offer(rule, self.aggregates(rule.inner),
+                                   self.real[self.trial], self.trial)
+            peaks = self.tops[self.members]
+            if type(rule) is DictatorRule:
+                return dictator_tops(peaks, self.sizes, rule.dictator_index)
+            seated = np.arange(peaks.shape[1]) < self.sizes[:, None]
+            ranks = np.where(seated, self.ranks[self.trial[:, None], peaks],
+                             self.real.shape[1])
+            return self.order[self.trial, lower_median(ranks, self.sizes)]
+        return self._cached(("representatives", rule), compute)
+
+    def winners(self, mechanism: Mechanism) -> np.ndarray:
+        """The over step on every trial with more than one district."""
+        reps = self.by_trial(self.representatives(mechanism.in_rule))
+        winners = reps[:, 0].copy()
+        rows = np.flatnonzero(self.k > 1)
+        if rows.size == 0:
+            return winners
+        reps, k = reps[rows], self.k[rows]
+        seated = np.arange(reps.shape[1]) < k[:, None]
+        over, width = mechanism.over_rule, self.real.shape[1]
+        if over.info == CARDINAL:
+            block = np.where(seated[..., None], self.alt_alt[rows[:, None], reps], 0.0)
+            values = over.inner.aggregate(block, k[:, None])
+            offered = self.real[rows]
+            if mechanism.selection_mode == REPRESENTATIVES_ONLY:
+                offered = offered & ((reps[..., None] == np.arange(width))
+                                     & seated[..., None]).any(axis=1)
+            winners[rows] = self._offer(over, values, offered, rows)
+        elif type(over) is ArbitraryOverRule:
+            winners[rows] = over.pick(reps, k)
+        else:
+            ranks = np.where(seated, self.ranks[rows[:, None], reps], width)
+            rank = (over.pick(ranks) if type(over) is LeftmostRepRule
+                    else lower_median(ranks, k))
+            winners[rows] = self.order[rows, rank]
+        return winners
+
+    def ratios(self, mechanism: Mechanism, objective: ComposedObjective) -> np.ndarray:
+        """Every trial's distortion ratio for one cell."""
+        check_metric(mechanism, self.positions is not None)
+        costs = self.costs(objective)
+        winners = self.winners(mechanism)
+        return _ratios(costs[np.arange(self.size), winners],
+                       costs.min(axis=-1))
+
+
+# ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
 
@@ -217,10 +443,17 @@ def sweep_cells(cells: Sequence[tuple[Mechanism, ComposedObjective]],
 
     Trial i draws one instance from a generator seeded by the pair (seed, i)
     and every cell evaluates that instance, so each cell's result equals a
-    sweep of that cell alone, while the draw, the build and everything the
-    instance caches (district aggregates per inner objective, ordinal
-    representatives per in-rule, profile, line axis) are paid once per trial.
-    Each cell keeps its first worst instance in trial order.
+    sweep of that cell alone. Trials are drawn in blocks (``_block_trials``)
+    and each cell is evaluated on a whole block at once: the block stacks
+    the drawn instances' distances, and the district aggregates, cost
+    vectors and optima, and the decisions of the built-in cardinal rules
+    and of dictator, arbitrary, leftmost and median, become array
+    expressions over it. Plurality matching, duck-typed rules and custom
+    aggregators run per instance through ``evaluate``, sharing what each
+    instance caches. A block in which any cell raises is replayed trial by
+    trial, so the error that comes first in (trial, cell) order surfaces.
+    Each cell keeps its first worst instance in trial order, and its
+    witness is that drawn instance.
     """
     spec = generator if generator is not None else GeneratorSpec()
     spec.validate()
@@ -232,13 +465,16 @@ def sweep_cells(cells: Sequence[tuple[Mechanism, ComposedObjective]],
         return []
     worst_ratios = [-math.inf] * len(cells)
     witnesses: list[Instance | None] = [None] * len(cells)
-    for i in range(trials):
-        instance = random_instance(_trial_rng(seed, i), spec)
-        for c, (mechanism, objective) in enumerate(cells):
-            ratio = evaluate(mechanism, instance, objective).ratio
-            if ratio > worst_ratios[c]:
-                worst_ratios[c] = ratio
-                witnesses[c] = instance
+    size = _block_trials(spec)
+    for start in range(0, trials, size):
+        instances = [random_instance(_trial_rng(seed, i), spec)
+                     for i in range(start, min(start + size, trials))]
+        for c, ratios in enumerate(_block_ratios(cells, instances)):
+            # a NaN ratio never becomes the worst
+            j = int(np.argmax(np.where(np.isnan(ratios), -math.inf, ratios)))
+            if ratios[j] > worst_ratios[c]:
+                worst_ratios[c] = float(ratios[j])
+                witnesses[c] = instances[j]
     return [SweepResult(ratio, witness, trials, seed)
             for ratio, witness in zip(worst_ratios, witnesses)]
 

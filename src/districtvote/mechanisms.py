@@ -67,8 +67,12 @@ REPRESENTATIVES_ONLY = "representatives-only"
 
 
 def _acceptable(values: np.ndarray, lam: float) -> np.ndarray:
-    """Mask of the values within a factor ``lam`` of the smallest."""
-    return values <= lam * values.min() * (1 + ACCEPT_SLACK)
+    """Mask of the values within a factor ``lam`` of the smallest along the
+    last axis."""
+    # the bound overflows to +inf only when every finite value lies below it
+    with np.errstate(over="ignore"):
+        bound = lam * values.min(axis=-1, keepdims=True) * (1 + ACCEPT_SLACK)
+    return values <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -96,11 +100,15 @@ class ArbitraryOverRule:
                        peaks: Sequence[int] | None = None) -> int:
         if not peaks:
             raise EmptyVoterSet("arbitrary over rule needs representatives")
-        if not (0 <= self.index < len(peaks)):
-            raise IndexOutOfRange(
-                f"district index {self.index} out of range for {len(peaks)} districts"
-            )
-        return int(peaks[self.index])
+        return int(self.pick(np.asarray(peaks), len(peaks)))
+
+    def pick(self, peaks: np.ndarray, counts) -> np.ndarray:
+        """Entry ``index`` of each row of representatives; rows run along the
+        last axis and hold ``counts`` districts each."""
+        if np.any((self.index < 0) | (counts <= self.index)):
+            raise IndexOutOfRange(f"district index {self.index} out of range "
+                                  f"for {np.min(counts)} districts")
+        return peaks[..., self.index]
 
 
 @dataclass(frozen=True)
@@ -119,7 +127,13 @@ class LeftmostRepRule:
         if profile.line_axis is None:
             raise MissingAxis("leftmost rule needs the line ordering")
         axis_rank = {alt: r for r, alt in enumerate(profile.line_axis)}
-        return int(min({int(p) for p in peaks}, key=axis_rank.__getitem__))
+        return int(profile.line_axis[self.pick(
+            np.array([axis_rank[int(p)] for p in peaks]))])
+
+    @staticmethod
+    def pick(ranks: np.ndarray) -> np.ndarray:
+        """The least axis rank along the last axis (pads rank above all)."""
+        return ranks.min(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -143,12 +157,16 @@ class ThresholdSelectRule:
 
     def choose(self, values: np.ndarray, candidates: np.ndarray,
                positions: np.ndarray | None) -> int:
-        """The rightmost candidate whose inner aggregate is acceptable."""
+        return int(candidates[self.pick(values, positions)])
+
+    def pick(self, values: np.ndarray, positions: np.ndarray | None) -> np.ndarray:
+        """Index of the rightmost candidate whose inner aggregate is
+        acceptable, along the last axis of ``values`` and ``positions``."""
         if positions is None:
             raise NotLineMetric("threshold rule needs line positions")
         # argmax keeps the first, lowest-index, of equally right positions
         pos = np.where(_acceptable(values, self.lam), positions, -np.inf)
-        return int(candidates[int(np.argmax(pos))])
+        return pos.argmax(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -214,16 +232,19 @@ def _representatives(rule, instance: Instance) -> tuple[int, ...]:
     """The in-step: one representative per district.
 
     A cardinal rule decides on the rows of the instance's cached district
-    aggregates of its inner objective. An ordinal rule's representatives are
-    cached on the instance, keyed by the rule (ordinal rules are hashable
-    values, and equal rules pick alike), so every mechanism with that
-    in-rule runs it once per instance.
+    aggregates of its inner objective; one with an array core ``pick``, as
+    every built-in one has, decides all rows at once. An ordinal rule's
+    representatives are cached on the instance, keyed by the rule (ordinal
+    rules are hashable values, and equal rules pick alike), so every
+    mechanism with that in-rule runs it once per instance.
     """
     if rule.info == CARDINAL:
-        candidates = np.arange(instance.num_alternatives)
+        values = district_aggregates(instance, rule.inner)
         positions = instance.alternative_positions
-        return tuple(rule.choose(values, candidates, positions)
-                     for values in district_aggregates(instance, rule.inner))
+        if hasattr(rule, "pick"):
+            return tuple(rule.pick(values, positions).tolist())
+        candidates = np.arange(instance.num_alternatives)
+        return tuple(rule.choose(row, candidates, positions) for row in values)
     cache = instance._cache
     key = ("representatives", rule)
     if key not in cache:

@@ -49,8 +49,9 @@ CUSTOM_KIND = "custom"
 _SMALLEST_NORMAL = np.finfo(np.float64).tiny
 
 
-def _power_means(mat: np.ndarray, p: float) -> np.ndarray:
-    """((1/n) sum v_i^p)^(1/p) of the vectors along axis 0 of ``mat``.
+def _power_means(stack: np.ndarray, p: float, counts) -> np.ndarray:
+    """((1/n) sum v_i^p)^(1/p) of the vectors along axis -2 of ``stack``,
+    each of ``counts`` entries followed by zero pads.
 
     A vector whose powers overflow, or underflow below the normal range,
     is divided by its largest entry before the power and multiplied by it
@@ -58,27 +59,33 @@ def _power_means(mat: np.ndarray, p: float) -> np.ndarray:
     """
     with np.errstate(over="ignore", under="ignore", divide="ignore",
                      invalid="ignore"):
-        means = np.mean(mat ** p, axis=0)
+        means = (stack ** p).sum(axis=-2) / counts
         direct = means ** (1.0 / p)
         kept = np.isfinite(means) & (means >= _SMALLEST_NORMAL)
         if np.all(kept):
             return direct
-        top = np.max(mat, axis=0)
-        scaled = top * np.mean((mat / top) ** p, axis=0) ** (1.0 / p)
+        top = stack.max(axis=-2)
+        scaled = top * (((stack / top[..., None, :]) ** p).sum(axis=-2)
+                        / counts) ** (1.0 / p)
         return np.where(kept | (top == 0), direct, scaled)
 
 
-def _means(mat: np.ndarray) -> np.ndarray:
-    """The mean along axis 0 of ``mat``.
+def _means(stack: np.ndarray, counts) -> np.ndarray:
+    """The mean along axis -2 of ``stack``, of ``counts`` entries each.
 
-    A sum that overflows falls back to the power mean of exponent 1, which
-    scales by the largest entry, so finite distances keep a finite mean.
+    A vector of finite entries whose sum overflows takes the power mean of
+    exponent 1 instead, which scales by the largest entry, so finite
+    distances keep a finite mean.
     """
     try:
         with np.errstate(over="raise"):
-            return np.mean(mat, axis=0)
+            return stack.sum(axis=-2) / counts
     except FloatingPointError:
-        return _power_means(mat, 1.0)
+        pass
+    with np.errstate(over="ignore"):
+        means = stack.sum(axis=-2) / counts
+    overflowed = ~np.isfinite(means) & np.isfinite(stack).all(axis=-2)
+    return np.where(overflowed, _power_means(stack, 1.0, counts), means)
 
 
 @dataclass(frozen=True)
@@ -114,25 +121,28 @@ class InnerObjective:
             raise ValueError("power mean exponent must be >= 1")
 
     def value(self, v: np.ndarray) -> float:
-        v = np.asarray(v, dtype=np.float64)
-        if self.kind == AVG_KIND:
-            return float(_means(v))
-        if self.kind == MAX_KIND:
-            return float(v.max())
-        if self.kind == PMEAN_KIND:
-            return float(_power_means(v, self.p))
-        return float(self.fn(v))
+        return float(self.over_columns(np.asarray(v, dtype=np.float64)[:, None])[0])
 
     def over_columns(self, mat: np.ndarray) -> np.ndarray:
         """Apply the aggregator to every column of a (voters x candidates) block."""
         mat = np.asarray(mat, dtype=np.float64)
+        if self.kind == CUSTOM_KIND:
+            return np.array([float(self.fn(mat[:, c])) for c in range(mat.shape[1])])
+        return self.aggregate(mat, mat.shape[-2])
+
+    def aggregate(self, stack: np.ndarray, counts) -> np.ndarray:
+        """A built-in aggregator along axis -2 of ``stack``.
+
+        Each vector along that axis holds ``counts`` entries, then zero pads,
+        which leave every sum, and the maximum of nonnegative entries such as
+        distances, unchanged; so a block of electorates of different sizes
+        aggregates in one call, and ``over_columns`` is the block of one.
+        """
         if self.kind == AVG_KIND:
-            return _means(mat)
+            return _means(stack, counts)
         if self.kind == MAX_KIND:
-            return mat.max(axis=0)
-        if self.kind == PMEAN_KIND:
-            return _power_means(mat, self.p)
-        return np.array([float(self.fn(mat[:, c])) for c in range(mat.shape[1])])
+            return stack.max(axis=-2)
+        return _power_means(stack, self.p, counts)
 
     @property
     def spec(self) -> str:
@@ -376,9 +386,11 @@ def check_single_peaked(g: InnerObjective, instance: Instance,
     grid = np.unique(np.concatenate([grid, all_points]))
     values = g.over_columns(np.abs(grid[None, :] - agent_pos[:, None]))
     imin = int(np.argmin(values))
-    # left of the minimum: non-increasing; right of it: non-decreasing
-    rises = values[1:imin + 1] > values[:imin] + USER_TOL
-    falls = values[imin + 1:] < values[imin:-1] - USER_TOL
+    # left of the minimum: non-increasing; right of it: non-decreasing, each
+    # step up to USER_TOL times the larger magnitude of the two values
+    slack = USER_TOL * np.maximum(np.abs(values[1:]), np.abs(values[:-1]))
+    rises = values[1:imin + 1] > values[:imin] + slack[:imin]
+    falls = values[imin + 1:] < values[imin:-1] - slack[imin:]
     bad = np.concatenate([np.flatnonzero(rises), imin + np.flatnonzero(falls)])
     if bad.size:
         i = bad[0]

@@ -9,6 +9,11 @@ step. Ordinal rules see only an :class:`OrdinalProfile` restricted to their
 electorate -- rankings plus, on line metrics, the left-to-right order of
 alternatives -- and never raw distances; the call signatures enforce this.
 
+Each built-in decision is written once, as an array core that decides along
+the last axis for any number of electorates at once (``pick`` on the rule
+objects, ``lower_median``, ``dictator_tops``): a per-instance call is its
+batch of one, and ``sweep_cells`` hands it a whole block of trials.
+
 All four rules here are unanimous: when every voter ranks the same
 alternative first, that alternative wins.
 """
@@ -72,23 +77,40 @@ def median_line_rule(profile: OrdinalProfile,
         raise EmptyVoterSet("median rule needs at least one peak")
     axis_rank = {alt: r for r, alt in enumerate(profile.line_axis)}
     try:
-        keys = sorted(axis_rank[p] for p in peaks)
+        ranks = np.array([axis_rank[p] for p in peaks])
     except KeyError as exc:
         raise IndexOutOfRange(f"peak {exc.args[0]} is not on the line axis") from exc
-    lower_median_rank = keys[(len(keys) - 1) // 2]
-    return int(profile.line_axis[lower_median_rank])
+    return int(profile.line_axis[lower_median(ranks, len(peaks))])
+
+
+def lower_median(ranks: np.ndarray, counts) -> np.ndarray:
+    """The lower median of the first ``counts`` axis ranks of each row.
+
+    Rows run along the last axis; entries past a row's count are pads that
+    rank above every real one, so they sort last.
+    """
+    middle = np.asarray((counts - 1) // 2)[..., None]
+    return np.take_along_axis(np.sort(ranks, axis=-1), middle, axis=-1)[..., 0]
 
 
 def dictator_rule(profile: OrdinalProfile, dictator_index: int = 0) -> int:
     """Top choice of one fixed voter (default: the lowest agent id)."""
     if profile.num_voters == 0:
         raise EmptyVoterSet("dictator rule needs at least one voter")
-    if not (0 <= dictator_index < profile.num_voters):
+    return int(dictator_tops(profile.tops, profile.num_voters, dictator_index))
+
+
+def dictator_tops(tops: np.ndarray, counts, dictator_index: int) -> np.ndarray:
+    """Entry ``dictator_index`` of each row of the voters' top choices.
+
+    Rows run along the last axis and hold ``counts`` voters each.
+    """
+    if np.any((dictator_index < 0) | (counts <= dictator_index)):
         raise IndexOutOfRange(
             f"dictator index {dictator_index} out of range for "
-            f"{profile.num_voters} voters"
+            f"{np.min(counts)} voters"
         )
-    return int(profile.rankings[dictator_index, 0])
+    return tops[..., dictator_index]
 
 
 def plurality_matching_rule(profile: OrdinalProfile) -> int:
@@ -153,8 +175,13 @@ class OptimalRule:
 
     def choose(self, values: np.ndarray, candidates: np.ndarray,
                positions: np.ndarray | None) -> int:
-        """The candidate of least inner aggregate ``values``; ties: lowest index."""
-        return int(candidates[int(np.argmin(values))])
+        return int(candidates[self.pick(values, positions)])
+
+    @staticmethod
+    def pick(values: np.ndarray, positions: np.ndarray | None) -> np.ndarray:
+        """Index of the least inner aggregate along the last axis of
+        ``values``; ties go to the lowest index."""
+        return values.argmin(axis=-1)
 
 
 @dataclass(frozen=True)

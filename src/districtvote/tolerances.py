@@ -3,7 +3,10 @@
 #: Absolute slack on arithmetic identities this package controls end to end
 #: (the aggregator property checks on vectors it draws itself).
 EXACT_TOL = 1e-12
-#: Absolute slack applied to user-supplied floating point data.
+#: Slack on comparisons of values computed from user-supplied data (the
+#: single-peakedness scan of a custom aggregator), relative to the larger
+#: magnitude of the two values compared, so a check means the same at any
+#: coordinate scale.
 USER_TOL = 1e-9
 #: Slack on the metric axioms of a user-supplied distance matrix, relative to
 #: the entries each check compares: d(i,j) may differ from d(j,i), and exceed

@@ -530,6 +530,27 @@ def test_verify_bounds_line_only_mechanism_on_euclidean(capsys, tmp_path,
     assert list(out_dir.iterdir()) == []
 
 
+def test_verify_bounds_reports_the_first_error_in_trial_order(capsys, tmp_path):
+    # trial 0 has two districts of 7 and 9 agents: the dictator cell passes
+    # it and the arbitrary:3 cell fails it; trials 1-3 then fail the
+    # dictator cell, which a cell-by-cell order would report first
+    config = write_config(
+        tmp_path,
+        mechanisms=["compose:dictator:5,optimal", "compose:optimal,arbitrary:3"],
+        objectives=["max.max"],
+        generator={"seed": 20, "trials": 50, "n-range": [12, 16],
+                   "k-range": [2, 3]},
+        families=[],
+    )
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "verify-bounds", "--config", config,
+                             "--out", str(out_dir))
+    assert code == 2
+    assert out == ""
+    assert err == "error: district index 3 out of range for 2 districts\n"
+    assert list(out_dir.iterdir()) == []
+
+
 def test_verify_bounds_unbuildable_family_aborts_before_sweeping(capsys, tmp_path):
     config = write_config(tmp_path, families=["avg-max-golden"], fib_index=40)
     out_dir = tmp_path / "out"

@@ -1,6 +1,7 @@
 """Distortion evaluation, random sweeps, and local search."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -245,25 +246,50 @@ def _trial_rng(seed, trial):
         np.random.SeedSequence([seed, trial])))
 
 
-def reference_sweep(mechanism, objective, draw, trials, seed):
-    """Test-only oracle: per trial, a fresh instance, then evaluate.
+def reference_ratios(mechanism, objective, draw, trials, seed):
+    """Test-only oracle: per trial, a fresh instance, then evaluate."""
+    return [dv.evaluate(mechanism, draw(_trial_rng(seed, i)), objective).ratio
+            for i in range(trials)]
 
-    Returns the worst ratio, its first witness in trial order, and how many
-    trials reached that ratio.
+
+def reference_sweep(mechanism, objective, draw, trials, seed):
+    """Test-only oracle: the worst of ``reference_ratios``.
+
+    Returns the worst ratio, its first witness in trial order (drawn again),
+    and how many trials reached that ratio.
     """
-    worst_ratio, witness, hits = -math.inf, None, 0
-    for i in range(trials):
-        instance = draw(_trial_rng(seed, i))
-        ratio = dv.evaluate(mechanism, instance, objective).ratio
+    worst_ratio, first, hits = -math.inf, None, 0
+    for i, ratio in enumerate(reference_ratios(mechanism, objective, draw,
+                                               trials, seed)):
         if ratio > worst_ratio:
-            worst_ratio, witness, hits = ratio, instance, 1
+            worst_ratio, first, hits = ratio, i, 1
         elif ratio == worst_ratio:
             hits += 1
+    witness = None if first is None else draw(_trial_rng(seed, first))
     return worst_ratio, witness, hits
 
 
+def _cells(panel):
+    return [(make(m, o), dv.parse_objective(o)) for m, o in panel]
+
+
+def _random_draw(spec):
+    return lambda rng: dv.random_instance(rng, spec)
+
+
+def _sweep_cells_per_instance_calls(cells, spec, trials, seed):
+    """``sweep_cells``, and how often it fell back to ``evaluate``."""
+    with mock.patch.object(dv.distortion, "evaluate",
+                           wraps=dv.distortion.evaluate) as spy:
+        results = dv.sweep_cells(cells, spec, trials=trials, seed=seed)
+    return results, spy.call_count
+
+
 def _check_against_reference(cells, draw, spec, trials, seed):
-    results = dv.sweep_cells(cells, spec, trials=trials, seed=seed)
+    results, calls = _sweep_cells_per_instance_calls(cells, spec, trials, seed)
+    # only the cells a block cannot decide run per instance: nothing replays
+    per_instance = sum(not dv.distortion._batched(m, o) for m, o in cells)
+    assert calls == trials * per_instance
     assert len(results) == len(cells)
     hits = []
     for (mechanism, objective), result in zip(cells, results):
@@ -297,16 +323,30 @@ EUCLIDEAN_PANEL = (
 )
 
 
+#: The default verify-bounds cells: every default pair with a claimed bound.
+VERIFY_PANEL = tuple(
+    (m, o) for m in cli.DEFAULT_MECHANISMS for o in cli.DEFAULT_OBJECTIVES
+    if dv.claimed_bound(make(m, o), dv.parse_objective(o)) is not None)
+
+
 @pytest.mark.parametrize("spec, panel", [
     (dv.GeneratorSpec(), LINE_PANEL),
     (dv.GeneratorSpec(kind="euclidean", dim=2, n_range=(2, 8),
                       m_range=(2, 5), k_range=(1, 3)), EUCLIDEAN_PANEL),
-], ids=["line", "euclidean"])
+    # up to 64 agents in 8 districts: blocks of a few trials each
+    (dv.GeneratorSpec(kind="euclidean", dim=2, n_range=(2, 64),
+                      m_range=(1, 12), k_range=(1, 8)), EUCLIDEAN_PANEL),
+    (dv.GeneratorSpec(m_range=(1, 6)), VERIFY_PANEL),
+    (dv.GeneratorSpec(k_range=(1, 1)), VERIFY_PANEL),
+    # pmean:2's squares underflow, so its rescue path decides
+    (dv.GeneratorSpec(high=1e-160), VERIFY_PANEL),
+    # district sums overflow, so avg falls back to the scaled mean
+    (dv.GeneratorSpec(high=1.5e308), VERIFY_PANEL),
+], ids=["line", "euclidean", "euclidean-wide", "m-from-1", "k-is-1",
+        "tiny-box", "huge-box"])
 def test_sweep_cells_matches_per_cell_loop(spec, panel):
-    cells = [(make(m, o), dv.parse_objective(o)) for m, o in panel]
-    _check_against_reference(
-        cells, lambda rng: dv.random_instance(rng, spec), spec,
-        trials=120, seed=4)
+    _check_against_reference(_cells(panel), _random_draw(spec), spec,
+                             trials=120, seed=4)
 
 
 def test_sweep_cells_fixed_generator(worked):
@@ -320,21 +360,22 @@ def test_sweep_cells_fixed_generator(worked):
 
 def test_sweep_cells_first_equal_worst_wins():
     # one district: the optimal rule always elects the optimum, so every
-    # trial reaches ratio 1 and trial 0 must stay the witness
+    # trial reaches ratio 1 and trial 0 must stay the witness, across blocks
     spec = dv.GeneratorSpec(k_range=(1, 1))
     cells = [(make(m, o), dv.parse_objective(o)) for m, o in (
         ("compose:optimal,optimal", "avg.avg"),
         ("compose:optimal,optimal", "max.max"),
         ("compose:plurality-matching,plurality-matching", "avg.max"),
     )]
-    results, hits = _check_against_reference(
-        cells, lambda rng: dv.random_instance(rng, spec), spec,
-        trials=40, seed=2)
     first = dv.random_instance(_trial_rng(2, 0), spec)
-    for result, n_hits in zip(results[:2], hits[:2]):
-        assert result.max_ratio == 1.0
-        assert n_hits == 40
-        assert result.witness.content_key() == first.content_key()
+    for trials in (40, 2 * dv.distortion._block_trials(spec) + 3):
+        results, hits = _check_against_reference(
+            cells, lambda rng: dv.random_instance(rng, spec), spec,
+            trials=trials, seed=2)
+        for result, n_hits in zip(results[:2], hits[:2]):
+            assert result.max_ratio == 1.0
+            assert n_hits == trials
+            assert result.witness.content_key() == first.content_key()
 
 
 def test_sweep_cells_zero_cost_optima(monkeypatch):
@@ -369,6 +410,99 @@ def test_sweep_cells_zero_cost_optima(monkeypatch):
         assert math.isinf(result.max_ratio) and n_hits > 1
         assert result.witness is first_zero
     assert results[2].max_ratio == 1.0
+
+
+def test_sweep_cells_matches_reference_across_block_boundaries():
+    spec = dv.GeneratorSpec()
+    block = dv.distortion._block_trials(spec)
+    counts = (block - 1, block, block + 1, 2 * block + 3)
+    cells = _cells(VERIFY_PANEL)
+    assert len(cells) == 31
+    draw = _random_draw(spec)
+    ratios = [reference_ratios(m, o, draw, counts[-1], 6) for m, o in cells]
+    per_instance = sum(not dv.distortion._batched(m, o) for m, o in cells)
+    assert per_instance == 8   # the plurality-matching cells
+    for trials in counts:
+        results, calls = _sweep_cells_per_instance_calls(cells, spec, trials, 6)
+        assert calls == trials * per_instance
+        for (mechanism, objective), result, row in zip(cells, results, ratios):
+            first = int(np.argmax(row[:trials]))
+            assert result.max_ratio == row[first], (mechanism.spec, objective.spec)
+            assert result.evaluated == trials
+            assert (result.witness.content_key()
+                    == draw(_trial_rng(6, first)).content_key())
+
+
+def test_sweep_cells_boxes_reach_the_rescue_paths():
+    def drawn(spec):
+        return [dv.random_instance(_trial_rng(3, i), spec) for i in range(150)]
+
+    with np.errstate(over="ignore", under="ignore"):
+        assert any(np.isinf(inst.agent_alt[list(d)].sum(axis=0)).any()
+                   for inst in drawn(dv.GeneratorSpec(high=1.5e308))
+                   for d in inst.districts)
+        assert any((inst.agent_alt ** 2 < np.finfo(float).tiny).all()
+                   for inst in drawn(dv.GeneratorSpec(high=1e-160)))
+
+
+def test_sweep_cells_reps_only_with_coinciding_representatives():
+    # every district sits at alternative 0, so the over step offers only it
+    coinciding = dv.build_line_instance([[0.01 * d, 0.02] for d in range(9)],
+                                        [0.0, 1.0, 2.0])
+    specs = [dv.GeneratorSpec(kind="fixed", instance=coinciding),
+             dv.GeneratorSpec(n_range=(8, 16), m_range=(1, 3), k_range=(8, 16))]
+    cells = [(make(m, o), dv.parse_objective(o))
+             for m in ("compose:optimal,optimal,reps-only",
+                       "compose:plurality-matching,plurality-matching,reps-only")
+             for o in cli.DEFAULT_OBJECTIVES]
+    trace = dv.run(cells[0][0], coinciding)
+    assert trace.per_step_candidates[1] == (0,)
+    for spec in specs:
+        _check_against_reference(cells, _random_draw(spec), spec, trials=60,
+                                 seed=2)
+
+
+@pytest.mark.parametrize("kind", [dv.LINE, dv.EXPLICIT])
+def test_sweep_cells_fixed_instance_with_scattered_districts(kind):
+    points = [0.9, 0.1, 0.5, 0.35, 0.8, 0.05, 0.6]
+    alts = [0.0, 0.4, 0.7, 1.0]
+    districts = [[0, 3, 5], [1, 6], [2, 4]]
+    if kind == dv.LINE:
+        metric = {"type": "line",
+                  "agent_positions": [[points[a] for a in d] for d in districts],
+                  "alternative_positions": alts}
+    else:
+        everything = np.array(points + alts)
+        metric = {"type": "explicit",
+                  "distances": np.abs(everything[:, None]
+                                      - everything[None, :]).tolist()}
+    instance = dv.instance_from_json({"metric": metric, "districts": districts,
+                                      "alternatives": len(alts)})
+    spec = dv.GeneratorSpec(kind="fixed", instance=instance)
+    cells = [(m, o) for m, o in _cells(VERIFY_PANEL)
+             if kind == dv.LINE or not m.line_only]
+    results, _ = _check_against_reference(cells, lambda rng: instance, spec,
+                                          trials=7, seed=0)
+    assert all(result.witness is instance for result in results)
+
+
+def test_sweep_cells_mixes_batched_and_per_instance_cells():
+    twin = dv.InnerObjective(kind="custom", name="twin",
+                             fn=lambda v: float(np.mean(v)) + 0.1 * float(np.max(v)))
+    spec = dv.GeneratorSpec()
+    custom = dv.ComposedObjective(dv.MAX, twin)
+    cells = [(make("compose:optimal,optimal", "avg.max"),
+              dv.parse_objective("avg.max")),
+             (dv.compose(dv.OptimalRule(twin), dv.OptimalRule(dv.MAX)), custom),
+             (make("arl:2", "max.max"), custom),
+             (dv.Mechanism(WorstCardinalRule(), WorstCardinalRule()),
+              dv.parse_objective("avg.avg")),
+             (dv.Mechanism(dv.OptimalRule(dv.AVG), WorstCardinalRule(),
+                           dv.REPRESENTATIVES_ONLY),
+              dv.parse_objective("avg.avg")),
+             (make("arbitrary-median", "avg.max"), dv.parse_objective("avg.max"))]
+    _check_against_reference(cells, _random_draw(spec), spec,
+                             trials=dv.distortion._block_trials(spec) + 2, seed=8)
 
 
 def test_sweep_cells_no_cells_and_bad_arguments():

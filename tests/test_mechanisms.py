@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +203,19 @@ def test_threshold_bound_holds_at_tiny_scale(spec, obj_spec):
     spec_gen = dv.GeneratorSpec(low=0.0, high=1e-11)
     result = dv.sweep(mech, objective, generator=spec_gen, trials=3000, seed=0)
     assert result.max_ratio <= dv.claimed_bound(mech, objective) + 1e-9
+
+
+def test_threshold_bound_beyond_float_range_is_silent_and_accepts_all():
+    # 2 * 1e308 overflows: the bound is +inf, and every finite cost lies below it
+    inst = dv.build_line_instance([[0.0]], [1e308, 1.5e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert dv.lambda_acceptable_set(inst, 0, dv.MAX, 2.0) == (0, 1)
+        assert dv.run(dv.parse_mechanism("arl:2,max"), inst).winner == 1
+        result = dv.sweep(dv.parse_mechanism("arl:2,max"),
+                          dv.parse_objective("max.max"),
+                          dv.GeneratorSpec(high=1.5e308), trials=200)
+    assert 1.0 <= result.max_ratio <= 2.5
 
 
 def test_lambda_acceptable_set_errors(worked):

@@ -305,6 +305,24 @@ def test_max_is_single_peaked_on_probe():
         assert dv.check_single_peaked(g, probe, 0).passed
 
 
+def _bumpy(v):
+    # the mean with scale-free bumps: not single-peaked at any scale
+    mean = float(np.mean(v))
+    return mean * (1.0 + 0.3 * abs(math.sin(20.0 * mean / float(np.max(v)))))
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e-3, 1.0, 1e3, 1e9, 1e12])
+def test_single_peaked_check_is_scale_free(scale):
+    probes = [dv.build_line_instance([[scale * p for p in agents[0]]],
+                                     [scale * p for p in alts])
+              for agents, alts in _PEAK_PROBES]
+    for g in (dv.AVG, dv.MAX, dv.power_mean(3)):
+        assert all(dv.check_single_peaked(g, probe, 0).passed for probe in probes)
+    bumpy = _custom("bumpy", _bumpy)
+    assert not all(dv.check_single_peaked(bumpy, probe, 0).passed
+                   for probe in probes)
+
+
 def test_single_peaked_requires_line(euclid_small):
     with pytest.raises(dv.NotLineMetric):
         dv.check_single_peaked(dv.AVG, euclid_small, 0)
@@ -380,11 +398,11 @@ def reference_single_peaked(g, instance, district):
     grid = np.unique(np.concatenate([grid, all_points]))
     values = np.array([g.value(np.abs(x - agent_pos)) for x in grid])
     imin = int(np.argmin(values))
-    for i in range(imin):
-        if values[i + 1] > values[i] + USER_TOL:
+    for i in range(grid.size - 1):
+        slack = USER_TOL * max(abs(values[i]), abs(values[i + 1]))
+        if i < imin and values[i + 1] > values[i] + slack:
             return False
-    for i in range(imin, grid.size - 1):
-        if values[i + 1] < values[i] - USER_TOL:
+        if i >= imin and values[i + 1] < values[i] - slack:
             return False
     return True
 
@@ -466,7 +484,7 @@ def test_batched_single_peaked_agrees_with_reference(g):
         if not result.passed:
             lo, hi, _ = result.witness
             values = [g.value(np.abs(x - np.array(agents[0]))) for x in (lo, hi)]
-            assert abs(values[1] - values[0]) > USER_TOL
+            assert abs(values[1] - values[0]) > USER_TOL * max(map(abs, values))
 
 
 def test_witness_is_first_counterexample_in_draw_order():
