@@ -453,7 +453,8 @@ def sweep_cells(cells: Sequence[tuple[Mechanism, ComposedObjective]],
     instance caches. A block in which any cell raises is replayed trial by
     trial, so the error that comes first in (trial, cell) order surfaces.
     Each cell keeps its first worst instance in trial order, and its
-    witness is that drawn instance.
+    witness is that drawn instance; a cell whose every ratio is NaN reports
+    ratio NaN with trial 0's instance.
     """
     spec = generator if generator is not None else GeneratorSpec()
     spec.validate()
@@ -463,17 +464,20 @@ def sweep_cells(cells: Sequence[tuple[Mechanism, ComposedObjective]],
         raise GeneratorError("seeds must be nonnegative")
     if not cells:
         return []
-    worst_ratios = [-math.inf] * len(cells)
+    worst_ratios = [math.nan] * len(cells)
     witnesses: list[Instance | None] = [None] * len(cells)
     size = _block_trials(spec)
     for start in range(0, trials, size):
         instances = [random_instance(_trial_rng(seed, i), spec)
                      for i in range(start, min(start + size, trials))]
         for c, ratios in enumerate(_block_ratios(cells, instances)):
-            # a NaN ratio never becomes the worst
+            # a NaN ratio never becomes the worst: trial 0 is the witness,
+            # with ratio NaN, until a comparable ratio takes its place
             j = int(np.argmax(np.where(np.isnan(ratios), -math.inf, ratios)))
-            if ratios[j] > worst_ratios[c]:
-                worst_ratios[c] = float(ratios[j])
+            ratio = float(ratios[j])
+            if witnesses[c] is None or not (math.isnan(ratio)
+                                            or ratio <= worst_ratios[c]):
+                worst_ratios[c] = ratio
                 witnesses[c] = instances[j]
     return [SweepResult(ratio, witness, trials, seed)
             for ratio, witness in zip(worst_ratios, witnesses)]
@@ -508,6 +512,11 @@ def hill_climb(mechanism: Mechanism, objective: ComposedObjective,
         raise NotLineMetric("hill climbing perturbs line positions")
     if steps < 0:
         raise GeneratorError("steps must be nonnegative")
+    if patience < 1:
+        raise GeneratorError("patience must be at least 1")
+    # NaN fails ``step_size >= 0``
+    if not (step_size >= 0 and math.isfinite(step_size)):
+        raise ValueError(f"step_size {step_size} must be finite and nonnegative")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
 
     def build(agent_pos: np.ndarray, alt_pos: np.ndarray) -> Instance:
@@ -526,8 +535,8 @@ def hill_climb(mechanism: Mechanism, objective: ComposedObjective,
     n, m = init.num_agents, init.num_alternatives
 
     for _ in range(steps):
-        agents = cur.agent_positions.copy()
-        alts = cur.alternative_positions.copy()
+        agents = cur.agent_points.copy()
+        alts = cur.alternative_points.copy()
         j = int(rng.integers(n + m))
         delta = float(rng.normal(0.0, step_size))
         if j < n:
@@ -545,8 +554,8 @@ def hill_climb(mechanism: Mechanism, objective: ComposedObjective,
         else:
             stale += 1
             if stale >= patience:
-                agents = best.agent_positions + rng.normal(0.0, step_size * 10, n)
-                alts = best.alternative_positions + rng.normal(0.0, step_size * 10, m)
+                agents = best.agent_points + rng.normal(0.0, step_size * 10, n)
+                alts = best.alternative_points + rng.normal(0.0, step_size * 10, m)
                 cur = build(agents, alts)
                 cur_ratio = ratio_of(cur)
                 evaluated += 1

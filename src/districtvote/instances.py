@@ -17,12 +17,14 @@ distances with a canonical tie-break: an agent ranks alternatives by
 distance, and equidistant alternatives by ascending alternative id.
 
 Everything derived from an instance is computed once and kept in the
-instance's own cache, which lives and dies with it: the ordinal profile,
-the line axis, the district id arrays, the alternatives' rankings and the
-content key here; the (k, m) district aggregates of each inner objective
-(``objectives.district_aggregates``, keyed by the objective's identity) and
-each ordinal in-rule's representatives (``mechanisms.run``, keyed by the
-rule). Every mechanism and objective evaluated on one instance shares them.
+instance's own cache, which lives and dies with it. ``Instance._derived`` is
+the cache's one door, and every derivation goes through it: the ordinal
+profile, the line axis, the district id arrays, the alternatives' rankings
+and the content key here; the (k, m) district aggregates of each inner
+objective (``objectives.district_aggregates``, keyed by the objective's
+identity) and each ordinal in-rule's representatives
+(``mechanisms._representatives``, keyed by the rule). Every mechanism and
+objective evaluated on one instance shares them.
 
 Every line and euclidean instance is assembled by ``_trusted_instance``, the
 one place their distances are computed. The public builders and the JSON
@@ -154,35 +156,25 @@ class Instance:
     def is_line(self) -> bool:
         return self.kind == LINE
 
-    @property
-    def agent_positions(self) -> np.ndarray | None:
-        """Line coordinates of agents by id (line instances only)."""
-        return self.agent_points if self.is_line else None
-
-    @property
-    def alternative_positions(self) -> np.ndarray | None:
-        """Line coordinates of alternatives by id (line instances only)."""
-        return self.alternative_points if self.is_line else None
+    def _derived(self, key, compute):
+        """``compute()``, computed on the first call with ``key`` and kept in
+        the instance's cache; every later call with ``key`` returns it."""
+        cache = self._cache
+        if key not in cache:
+            cache[key] = compute()
+        return cache[key]
 
     def district_arrays(self) -> tuple[np.ndarray, ...]:
         """Districts as integer arrays (cached)."""
-        cache = self._cache
-        if "district_arrays" not in cache:
-            cache["district_arrays"] = tuple(
-                np.array(d, dtype=np.int64) for d in self.districts
-            )
-        return cache["district_arrays"]
+        return self._derived("district_arrays", lambda: tuple(
+            np.array(d, dtype=np.int64) for d in self.districts))
 
     def line_axis(self) -> tuple[int, ...] | None:
         """Alternative ids ordered left-to-right (ties by id); None off-line."""
         if not self.is_line:
             return None
-        cache = self._cache
-        if "line_axis" not in cache:
-            pos = self.alternative_positions
-            order = np.lexsort((np.arange(self.num_alternatives), pos))
-            cache["line_axis"] = tuple(int(a) for a in order)
-        return cache["line_axis"]
+        return self._derived("line_axis", lambda: tuple(
+            np.argsort(self.alternative_points, kind="stable").tolist()))
 
     def alternative_rankings(self) -> np.ndarray:
         """Row r = ranking of all alternatives by distance from alternative r.
@@ -190,27 +182,20 @@ class Instance:
         Used to give over-step pseudo-agents (located at alternatives) their
         ordinal preferences; ties broken by ascending alternative id.
         """
-        cache = self._cache
-        if "alt_rankings" not in cache:
+        def compute():
             rk = np.argsort(self.alt_alt, axis=1, kind="stable")
             rk.flags.writeable = False
-            cache["alt_rankings"] = rk
-        return cache["alt_rankings"]
+            return rk
+        return self._derived("alt_rankings", compute)
 
     def profile(self) -> OrdinalProfile:
         """The derived ordinal profile of all agents (cached)."""
-        cache = self._cache
-        if "profile" not in cache:
-            cache["profile"] = ordinal_profile(self)
-        return cache["profile"]
+        return self._derived("profile", lambda: ordinal_profile(self))
 
     def content_key(self) -> str:
         """Stable hash of the instance's serialized content."""
-        cache = self._cache
-        if "content_key" not in cache:
-            payload = json.dumps(instance_to_json(self), sort_keys=True)
-            cache["content_key"] = hashlib.sha256(payload.encode()).hexdigest()
-        return cache["content_key"]
+        return self._derived("content_key", lambda: hashlib.sha256(
+            json.dumps(instance_to_json(self), sort_keys=True).encode()).hexdigest())
 
 
 # ---------------------------------------------------------------------------
@@ -424,11 +409,11 @@ def instance_to_json(instance: Instance) -> dict:
     districts = [list(d) for d in instance.districts]
     kind = instance.kind
     if kind == LINE:
-        pos = instance.agent_positions
+        pos = instance.agent_points
         metric = {
             "type": LINE,
             "agent_positions": [[float(pos[a]) for a in d] for d in instance.districts],
-            "alternative_positions": [float(p) for p in instance.alternative_positions],
+            "alternative_positions": [float(p) for p in instance.alternative_points],
         }
     elif kind == EUCLIDEAN:
         xy = instance.agent_points

@@ -10,8 +10,8 @@ representatives themselves. Ordinal rules receive derived rankings only. A
 cardinal rule receives, through its ``choose``, its inner objective's value
 per candidate: in the in-step a row of the instance's cached district
 aggregates, in the over step the aggregate of the pseudo-voters' distances.
-The in-step's work is kept on the instance, so mechanisms sharing an
-in-rule or its inner objective share it. Factories are provided for the
+The in-step's work is kept in the instance's cache, so mechanisms sharing
+an in-rule or its inner objective share it. Factories are provided for the
 named mechanisms: plain composition, composition through an arbitrary over
 step, dictator-then-median on a line, and the threshold-acceptance line
 mechanism (pick the rightmost acceptable alternative per district, then the
@@ -31,7 +31,6 @@ from .errors import (
     EmptyVoterSet,
     IndexOutOfRange,
     LambdaBelowOne,
-    MissingAxis,
     NotLineMetric,
     PropertyCheckFailed,
 )
@@ -58,6 +57,7 @@ from .rules import (
     OptimalRule,
     ORDINAL,
     PluralityMatchingRule,
+    axis_ranks,
     parse_direct_rule,
 )
 from .tolerances import ACCEPT_SLACK
@@ -124,11 +124,8 @@ class LeftmostRepRule:
                        peaks: Sequence[int] | None = None) -> int:
         if not peaks:
             raise EmptyVoterSet("leftmost rule needs representatives")
-        if profile.line_axis is None:
-            raise MissingAxis("leftmost rule needs the line ordering")
-        axis_rank = {alt: r for r, alt in enumerate(profile.line_axis)}
-        return int(profile.line_axis[self.pick(
-            np.array([axis_rank[int(p)] for p in peaks]))])
+        ranks = axis_ranks(profile, peaks, "leftmost rule")
+        return int(profile.line_axis[self.pick(ranks)])
 
     @staticmethod
     def pick(ranks: np.ndarray) -> np.ndarray:
@@ -234,24 +231,24 @@ def _representatives(rule, instance: Instance) -> tuple[int, ...]:
     A cardinal rule decides on the rows of the instance's cached district
     aggregates of its inner objective; one with an array core ``pick``, as
     every built-in one has, decides all rows at once. An ordinal rule's
-    representatives are cached on the instance, keyed by the rule (ordinal
-    rules are hashable values, and equal rules pick alike), so every
-    mechanism with that in-rule runs it once per instance.
+    representatives are cached on the instance through ``Instance._derived``,
+    keyed by the rule (ordinal rules are hashable values, and equal rules
+    pick alike), so every mechanism with that in-rule runs it once per
+    instance.
     """
     if rule.info == CARDINAL:
         values = district_aggregates(instance, rule.inner)
-        positions = instance.alternative_positions
+        positions = instance.alternative_points if instance.is_line else None
         if hasattr(rule, "pick"):
             return tuple(rule.pick(values, positions).tolist())
         candidates = np.arange(instance.num_alternatives)
         return tuple(rule.choose(row, candidates, positions) for row in values)
-    cache = instance._cache
-    key = ("representatives", rule)
-    if key not in cache:
+
+    def compute():
         profile = instance.profile()
-        cache[key] = tuple(_select_in(rule, members, profile)
-                           for members in instance.districts)
-    return cache[key]
+        return tuple(_select_in(rule, members, profile)
+                     for members in instance.districts)
+    return instance._derived(("representatives", rule), compute)
 
 
 def _pseudo_profile(instance: Instance, reps: Sequence[int],
@@ -293,7 +290,7 @@ def run(mechanism: Mechanism, instance: Instance) -> MechanismTrace:
     over = mechanism.over_rule
     if over.info == CARDINAL:
         block = instance.alt_alt[np.array(reps, dtype=np.int64)][:, candidates]
-        positions = (instance.alternative_positions[candidates]
+        positions = (instance.alternative_points[candidates]
                      if instance.is_line else None)
         winner = over.choose(over.inner.over_columns(block), candidates, positions)
     else:

@@ -197,21 +197,19 @@ def district_aggregates(instance: Instance, inner: InnerObjective) -> np.ndarray
     """Read-only (k, m) matrix: row d is ``inner`` over district d's
     distances to each alternative.
 
-    Computed once per instance and inner objective and kept in the
-    instance's cache, keyed by the objective's identity: ``InnerObjective``
-    equality ignores ``fn``, so two custom inners can compare equal and
-    still differ. The entry holds the objective, so its id stays unique
-    while the instance lives.
+    Computed once per instance and inner objective through
+    ``Instance._derived``, keyed by the objective's identity:
+    ``InnerObjective`` equality ignores ``fn``, so two custom inners can
+    compare equal and still differ. The entry holds the objective, so its id
+    stays unique while the instance lives.
     """
-    cache = instance._cache.setdefault("district_aggregates", {})
-    entry = cache.get(id(inner))
-    if entry is None:
+    def compute():
         values = np.empty((instance.num_districts, instance.num_alternatives))
         for d, members in enumerate(instance.district_arrays()):
             values[d] = inner.over_columns(instance.agent_alt[members])
         values.flags.writeable = False
-        entry = cache[id(inner)] = (inner, values)
-    return entry[1]
+        return inner, values
+    return instance._derived(("district_aggregates", id(inner)), compute)[1]
 
 
 def inner_cost(instance: Instance, district: int, inner: InnerObjective,
@@ -374,9 +372,9 @@ def check_single_peaked(g: InnerObjective, instance: Instance,
     if not (0 <= district < instance.num_districts):
         raise IndexOutOfRange(f"district {district} out of range")
     members = instance.district_arrays()[district]
-    agent_pos = instance.agent_positions[members]
-    all_points = np.concatenate([instance.agent_positions,
-                                 instance.alternative_positions])
+    agent_pos = instance.agent_points[members]
+    all_points = np.concatenate([instance.agent_points,
+                                 instance.alternative_points])
     lo, hi = float(all_points.min()), float(all_points.max())
     span = hi - lo
     if span > 0:

@@ -69,18 +69,27 @@ def median_line_rule(profile: OrdinalProfile,
     (1-indexed) wins. Among alternatives, this choice minimizes the total
     distance to the peak multiset.
     """
-    if profile.line_axis is None:
-        raise MissingAxis("median rule needs the line ordering of alternatives")
-    peaks = [int(p) for p in (voter_peaks if voter_peaks is not None
-                              else profile.tops)]
-    if not peaks:
+    ranks = axis_ranks(profile, voter_peaks if voter_peaks is not None
+                       else profile.tops, "median rule")
+    if not ranks.size:
         raise EmptyVoterSet("median rule needs at least one peak")
+    return int(profile.line_axis[lower_median(ranks, ranks.size)])
+
+
+def axis_ranks(profile: OrdinalProfile, peaks: Sequence[int],
+               rule: str) -> np.ndarray:
+    """Each peak's place on the profile's line axis.
+
+    Raises MissingAxis when the profile has no axis and IndexOutOfRange for
+    a peak that is not on it; ``rule`` names the rule in the message.
+    """
+    if profile.line_axis is None:
+        raise MissingAxis(f"{rule} needs the line ordering of alternatives")
     axis_rank = {alt: r for r, alt in enumerate(profile.line_axis)}
     try:
-        ranks = np.array([axis_rank[p] for p in peaks])
+        return np.array([axis_rank[int(p)] for p in peaks])
     except KeyError as exc:
         raise IndexOutOfRange(f"peak {exc.args[0]} is not on the line axis") from exc
-    return int(profile.line_axis[lower_median(ranks, len(peaks))])
 
 
 def lower_median(ranks: np.ndarray, counts) -> np.ndarray:

@@ -144,10 +144,10 @@ def test_random_instance_respects_spec(seed):
     assert inst.num_districts <= inst.num_agents
     assert sorted(a for d in inst.districts for a in d) == list(
         range(inst.num_agents))
-    assert np.all(inst.agent_positions >= -3.0)
-    assert np.all(inst.agent_positions <= 7.0)
-    assert np.all(inst.alternative_positions >= -3.0)
-    assert np.all(inst.alternative_positions <= 7.0)
+    assert np.all(inst.agent_points >= -3.0)
+    assert np.all(inst.agent_points <= 7.0)
+    assert np.all(inst.alternative_points >= -3.0)
+    assert np.all(inst.alternative_points <= 7.0)
 
 
 def test_random_instance_clamps_districts_to_agents():
@@ -209,6 +209,34 @@ def test_sweep_json_round_trip(worked):
     assert back.evaluated == result.evaluated
     assert back.seed == result.seed
     assert back.witness.content_key() == result.witness.content_key()
+
+
+def test_sweep_without_a_comparable_ratio_keeps_trial_zero():
+    optimal_max = dv.compose(dv.OptimalRule(dv.MAX), dv.OptimalRule(dv.MAX))
+    nanny = dv.InnerObjective(kind="custom", name="nanny",
+                              fn=lambda v: float("nan"))
+    # NaN on every district of odd size, so only some trials compare
+    odd = dv.InnerObjective(kind="custom", name="odd", fn=lambda v: (
+        float("nan") if len(v) % 2 else float(np.mean(v))))
+    cells = [(optimal_max, dv.ComposedObjective(dv.MAX, inner))
+             for inner in (nanny, odd)]
+    spec = dv.GeneratorSpec()
+    drawn = [dv.random_instance(_trial_rng(0, i), spec) for i in range(30)]
+    nan_result, odd_result = dv.sweep_cells(cells, spec, trials=30, seed=0)
+
+    assert math.isnan(nan_result.max_ratio)
+    assert nan_result.witness.content_key() == drawn[0].content_key()
+    back = dv.sweep_result_from_json(dv.sweep_result_to_json(nan_result))
+    assert math.isnan(back.max_ratio) and not back.infinite
+    assert back.witness.content_key() == drawn[0].content_key()
+    assert not back.max_ratio <= 1e300
+
+    ratios = [dv.evaluate(optimal_max, inst, cells[1][1]).ratio for inst in drawn]
+    assert math.isnan(ratios[0])
+    comparable = [r for r in ratios if not math.isnan(r)]
+    assert odd_result.max_ratio == max(comparable)
+    first = next(i for i, r in enumerate(ratios) if r == max(comparable))
+    assert odd_result.witness.content_key() == drawn[first].content_key()
 
 
 def test_sweep_euclidean_generator():
@@ -539,7 +567,7 @@ def reference_run(mechanism, instance):
     """
     in_rule, over = mechanism.in_rule, mechanism.over_rule
     everyone = np.arange(instance.num_alternatives)
-    positions = instance.alternative_positions
+    positions = instance.alternative_points if instance.is_line else None
     reps = []
     for members in instance.district_arrays():
         members = np.sort(members)
@@ -604,6 +632,32 @@ def _shared_instances():
     drawn.append(dv.build_line_instance([[0.2, 0.9], [1.5, 2.0], [0.1]],
                                         [1.0, 0.0, 1.0, 2.0, 2.0]))
     return drawn
+
+
+def test_line_axis_matches_lexsort_and_block_order():
+    spec = dv.GeneratorSpec(m_range=(1, 6), high=2.0)
+
+    def grid(points):
+        # a 0.125 grid, so alternatives often share a position
+        return (np.round(points * 8) / 8).tolist()
+
+    instances = []
+    for i in range(200):
+        drawn = dv.random_instance(_trial_rng(30, i), spec)
+        instances.append(dv.build_line_instance(
+            [grid(drawn.agent_points[list(d)]) for d in drawn.districts],
+            grid(drawn.alternative_points)))
+    order = dv.distortion._Block(instances).order
+    tied = 0
+    for instance, row in zip(instances, order):
+        m = instance.num_alternatives
+        positions = instance.alternative_points
+        expected = tuple(np.lexsort((np.arange(m), positions)).tolist())
+        assert instance.line_axis() == expected
+        # pads are the ids past m, and they sort first
+        assert tuple(row[row < m].tolist()) == expected
+        tied += len(set(positions.tolist())) < m
+    assert tied > 20
 
 
 DEFAULT_CELLS = [(m, o) for m in cli.DEFAULT_MECHANISMS
@@ -730,15 +784,15 @@ def test_hill_climb_rebuilds_match_the_public_builder():
     result = dv.hill_climb(mech, objective, init, steps=300, seed=2)
     witness = result.witness
     assert witness is not init
-    pos = witness.agent_positions
+    pos = witness.agent_points
     public = dv.build_line_instance([[float(pos[a]) for a in d]
                                      for d in witness.districts],
-                                    witness.alternative_positions.tolist())
+                                    witness.alternative_points.tolist())
     assert witness.agent_alt.tobytes() == public.agent_alt.tobytes()
     assert witness.alt_alt.tobytes() == public.alt_alt.tobytes()
     assert witness.districts == public.districts
     assert witness.content_key() == public.content_key()
-    assert not witness.agent_positions.flags.writeable
+    assert not witness.agent_points.flags.writeable
 
 
 def test_hill_climb_rejects_nonfinite_perturbations(worked):
@@ -753,3 +807,21 @@ def test_hill_climb_rejects_negative_steps(worked):
     objective = dv.parse_objective("avg.avg")
     with pytest.raises(dv.GeneratorError):
         dv.hill_climb(mech, objective, worked, steps=-1)
+
+
+@pytest.mark.parametrize("patience", [0, -1])
+def test_hill_climb_rejects_patience_below_one(worked, patience):
+    mech = make("compose:optimal,optimal", "avg.avg")
+    objective = dv.parse_objective("avg.avg")
+    with pytest.raises(dv.GeneratorError, match="patience"):
+        dv.hill_climb(mech, objective, worked, steps=20, patience=patience)
+
+
+@pytest.mark.parametrize("step_size", [math.nan, -math.inf, -0.05])
+def test_hill_climb_rejects_bad_step_size_before_any_draw(worked, step_size):
+    mech = make("compose:optimal,optimal", "avg.avg")
+    objective = dv.parse_objective("avg.avg")
+    with mock.patch.object(dv.distortion.np.random, "Generator") as generator, \
+            pytest.raises(ValueError, match="step_size.*finite"):
+        dv.hill_climb(mech, objective, worked, steps=5, step_size=step_size)
+    generator.assert_not_called()

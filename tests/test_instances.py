@@ -28,8 +28,8 @@ def test_worked_instance_distances(worked):
     assert worked.num_districts == 2
     assert worked.districts == ((0, 1), (2,))
     assert worked.is_line
-    assert worked.agent_positions.tolist() == [0.0, 1.0, 2.0]
-    assert worked.alternative_positions.tolist() == [0.5, 1.8]
+    assert worked.agent_points.tolist() == [0.0, 1.0, 2.0]
+    assert worked.alternative_points.tolist() == [0.5, 1.8]
 
 
 def test_euclidean_distances(euclid_small):
@@ -39,7 +39,7 @@ def test_euclidean_distances(euclid_small):
     assert np.allclose(euclid_small.alt_alt, [[0.0, 10.0], [10.0, 0.0]],
                        atol=EXACT)
     assert not euclid_small.is_line
-    assert euclid_small.agent_positions is None
+    assert euclid_small.agent_points.shape == (2, 2)
 
 
 def test_explicit_builder_accepts_valid_metric():
@@ -230,7 +230,7 @@ def test_ranking_rows_are_permutations(inst):
 @given(line_instances(max_agents=6, max_alternatives=4))
 def test_line_distances_form_a_metric(inst):
     # feed the implied full point-to-point matrix back through the validator
-    pts = np.concatenate([inst.agent_positions, inst.alternative_positions])
+    pts = np.concatenate([inst.agent_points, inst.alternative_points])
     mat = np.abs(pts[:, None] - pts[None, :])
     rebuilt = dv.build_explicit_instance(
         mat, [len(d) for d in inst.districts], inst.num_alternatives)

@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 
 import districtvote as dv
 from districtvote import objectives
-from districtvote.mechanisms import _PEAK_PROBES
+from districtvote.mechanisms import _PEAK_PROBES, _representatives
 from districtvote.objectives import (
     AVG_AVG,
     AVG_MAX,
@@ -248,6 +248,9 @@ def test_district_aggregates_are_cached_by_identity(worked):
     assert np.allclose(first, [[0.5, 1.3], [1.5, 0.2]], rtol=0, atol=EXACT)
     assert np.allclose(dv.district_aggregates(worked, max_twin),
                        [[0.5, 1.8], [1.5, 0.2]], rtol=0, atol=EXACT)
+    # an ordinal in-rule's representatives share the instance's cache
+    reps = _representatives(dv.MedianLineRule(), worked)
+    assert _representatives(dv.MedianLineRule(), worked) is reps
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +393,9 @@ def reference_consistent(g, samples, dims=8, seed=0):
 
 def reference_single_peaked(g, instance, district):
     members = instance.district_arrays()[district]
-    agent_pos = instance.agent_positions[members]
-    all_points = np.concatenate([instance.agent_positions,
-                                 instance.alternative_positions])
+    agent_pos = instance.agent_points[members]
+    all_points = np.concatenate([instance.agent_points,
+                                 instance.alternative_points])
     lo, hi = float(all_points.min()), float(all_points.max())
     grid = np.arange(lo, hi, (hi - lo) * 1e-3) if hi > lo else np.array([lo])
     grid = np.unique(np.concatenate([grid, all_points]))

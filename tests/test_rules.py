@@ -194,6 +194,11 @@ def test_median_rejects_off_axis_peak(worked):
         dv.median_line_rule(worked.profile(), [0, 5])
 
 
+def test_leftmost_rejects_off_axis_peak(worked):
+    with pytest.raises(dv.IndexOutOfRange):
+        dv.LeftmostRepRule().select_ordinal(worked.profile(), [0, 5])
+
+
 def test_median_empty():
     profile = _line_profile([0.0, 1.0], [0])
     with pytest.raises(dv.EmptyVoterSet):
@@ -205,7 +210,7 @@ def test_median_empty():
 def test_median_minimizes_total_peak_distance(inst):
     profile = inst.profile()
     winner = dv.median_line_rule(profile)
-    alt_pos = inst.alternative_positions
+    alt_pos = inst.alternative_points
     peak_pos = alt_pos[profile.tops]
     totals = np.abs(peak_pos[:, None] - alt_pos[None, :]).sum(axis=0)
     assert totals[winner] <= totals.min() + 1e-9
