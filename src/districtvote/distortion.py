@@ -218,6 +218,9 @@ def _block_trials(spec: GeneratorSpec) -> int:
 def _batched(mechanism: Mechanism, objective: ComposedObjective) -> bool:
     """Whether a block decides the cell with array expressions: it knows both
     rules, and no aggregator the cell uses is custom."""
+    # built-in types only: the block hands ``pick`` rows padded with +inf
+    # values and -inf positions, and a duck-typed rule may elect a pad (one
+    # electing the largest value would), so such rules run per instance
     rules = (mechanism.in_rule, mechanism.over_rule)
     inners = [objective.inner, objective.outer] + [
         rule.inner for rule in rules if rule.info == CARDINAL]
@@ -417,8 +420,10 @@ class SweepResult:
 
 
 def sweep_result_to_json(result: SweepResult) -> dict:
+    """JSON-ready dict; an infinite or NaN ratio is null, and the flag says
+    which."""
     return {
-        "max_ratio": None if result.infinite else result.max_ratio,
+        "max_ratio": result.max_ratio if math.isfinite(result.max_ratio) else None,
         "infinite": result.infinite,
         "evaluated": result.evaluated,
         "seed": result.seed,
@@ -427,7 +432,10 @@ def sweep_result_to_json(result: SweepResult) -> dict:
 
 
 def sweep_result_from_json(data: dict) -> SweepResult:
-    ratio = math.inf if data.get("infinite") else float(data["max_ratio"])
+    if data.get("infinite"):
+        ratio = math.inf
+    else:
+        ratio = math.nan if data["max_ratio"] is None else float(data["max_ratio"])
     return SweepResult(
         max_ratio=ratio,
         witness=instance_from_json(data["witness"]),

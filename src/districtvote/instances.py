@@ -215,9 +215,6 @@ def _validate_districts(districts: Sequence[Sequence[int]], num_agents: int):
             if int(a) in seen:
                 raise InvalidPartition(f"agent id {a} appears in two districts")
             seen.add(int(a))
-    if len(seen) != num_agents:
-        missing = sorted(set(range(num_agents)) - seen)
-        raise InvalidPartition(f"agents {missing[:5]} belong to no district")
 
 
 def _canonical_districts(districts) -> tuple[tuple[int, ...], ...]:
@@ -404,32 +401,27 @@ _METRIC_KEYS = {
 }
 
 
+#: For each point metric: (agents key, alternatives key).
+_POINT_KEYS = {
+    LINE: ("agent_positions", "alternative_positions"),
+    EUCLIDEAN: ("agent_coords", "alternative_coords"),
+}
+
+
 def instance_to_json(instance: Instance) -> dict:
     """Serialize to the canonical JSON-ready dict."""
-    districts = [list(d) for d in instance.districts]
     kind = instance.kind
-    if kind == LINE:
-        pos = instance.agent_points
-        metric = {
-            "type": LINE,
-            "agent_positions": [[float(pos[a]) for a in d] for d in instance.districts],
-            "alternative_positions": [float(p) for p in instance.alternative_points],
-        }
-    elif kind == EUCLIDEAN:
-        xy = instance.agent_points
-        metric = {
-            "type": EUCLIDEAN,
-            "agent_coords": [[[float(c) for c in xy[a]] for a in d]
-                             for d in instance.districts],
-            "alternative_coords": [[float(c) for c in row]
-                                   for row in instance.alternative_points],
-        }
+    if kind == EXPLICIT:
+        metric = {"type": EXPLICIT, "distances": instance.matrix.tolist()}
     else:
+        agents_key, alts_key = _POINT_KEYS[kind]
+        pts = instance.agent_points
         metric = {
-            "type": EXPLICIT,
-            "distances": [[float(v) for v in row] for row in instance.matrix],
+            "type": kind,
+            agents_key: [pts[list(d)].tolist() for d in instance.districts],
+            alts_key: instance.alternative_points.tolist(),
         }
-    return {"metric": metric, "districts": districts,
+    return {"metric": metric, "districts": [list(d) for d in instance.districts],
             "alternatives": instance.num_alternatives}
 
 
@@ -437,13 +429,6 @@ def _require_keys(data: dict, allowed: set[str], where: str):
     unknown = set(data) - allowed
     if unknown:
         raise UnknownField(f"unknown field(s) {sorted(unknown)} in {where}")
-
-
-#: For each point metric: (agents key, alternatives key).
-_POINT_KEYS = {
-    LINE: ("agent_positions", "alternative_positions"),
-    EUCLIDEAN: ("agent_coords", "alternative_coords"),
-}
 
 
 def _nested(value, depth: int, field: str, integers: bool = False):

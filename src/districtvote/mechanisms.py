@@ -7,9 +7,10 @@ single district the two steps collapse: the representative is the winner.
 
 The over step can offer the full alternative set (the default) or only the
 representatives themselves. Ordinal rules receive derived rankings only. A
-cardinal rule receives, through its ``choose``, its inner objective's value
-per candidate: in the in-step a row of the instance's cached district
-aggregates, in the over step the aggregate of the pseudo-voters' distances.
+cardinal rule's ``pick`` receives its inner objective's value per candidate
+and returns a column index per row: in the in-step all districts at once,
+as the (districts, m) rows of the instance's cached district aggregates; in
+the over step one row, the aggregates of the pseudo-voters' distances.
 The in-step's work is kept in the instance's cache, so mechanisms sharing
 an in-rule or its inner objective share it. Factories are provided for the
 named mechanisms: plain composition, composition through an arbitrary over
@@ -152,10 +153,6 @@ class ThresholdSelectRule:
     def name(self) -> str:
         return f"threshold:{self.lam:g},{self.inner.spec}"
 
-    def choose(self, values: np.ndarray, candidates: np.ndarray,
-               positions: np.ndarray | None) -> int:
-        return int(candidates[self.pick(values, positions)])
-
     def pick(self, values: np.ndarray, positions: np.ndarray | None) -> np.ndarray:
         """Index of the rightmost candidate whose inner aggregate is
         acceptable, along the last axis of ``values`` and ``positions``."""
@@ -228,9 +225,8 @@ def _select_in(rule, members: Sequence[int], profile: OrdinalProfile) -> int:
 def _representatives(rule, instance: Instance) -> tuple[int, ...]:
     """The in-step: one representative per district.
 
-    A cardinal rule decides on the rows of the instance's cached district
-    aggregates of its inner objective; one with an array core ``pick``, as
-    every built-in one has, decides all rows at once. An ordinal rule's
+    A cardinal rule's ``pick`` decides every row of the instance's cached
+    district aggregates of its inner objective at once. An ordinal rule's
     representatives are cached on the instance through ``Instance._derived``,
     keyed by the rule (ordinal rules are hashable values, and equal rules
     pick alike), so every mechanism with that in-rule runs it once per
@@ -239,10 +235,7 @@ def _representatives(rule, instance: Instance) -> tuple[int, ...]:
     if rule.info == CARDINAL:
         values = district_aggregates(instance, rule.inner)
         positions = instance.alternative_points if instance.is_line else None
-        if hasattr(rule, "pick"):
-            return tuple(rule.pick(values, positions).tolist())
-        candidates = np.arange(instance.num_alternatives)
-        return tuple(rule.choose(row, candidates, positions) for row in values)
+        return tuple(rule.pick(values, positions).tolist())
 
     def compute():
         profile = instance.profile()
@@ -292,7 +285,7 @@ def run(mechanism: Mechanism, instance: Instance) -> MechanismTrace:
         block = instance.alt_alt[np.array(reps, dtype=np.int64)][:, candidates]
         positions = (instance.alternative_points[candidates]
                      if instance.is_line else None)
-        winner = over.choose(over.inner.over_columns(block), candidates, positions)
+        winner = candidates[over.pick(over.inner.over_columns(block), positions)]
     else:
         pseudo = _pseudo_profile(instance, reps, candidates)
         winner = over.select_ordinal(pseudo, reps)

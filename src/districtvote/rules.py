@@ -1,13 +1,16 @@
 """Single-winner voting rules used inside and across districts.
 
 Two information models exist. A cardinal rule has an ``inner`` objective
-and decides through ``choose(values, candidates, positions)``: ``values``
-holds ``inner`` over the electorate's distances to each candidate, so a
-mechanism hands it the rows of an instance's cached district aggregates in
-the in-step and the aggregates of the pseudo-voters' distances in the over
-step. Ordinal rules see only an :class:`OrdinalProfile` restricted to their
-electorate -- rankings plus, on line metrics, the left-to-right order of
-alternatives -- and never raw distances; the call signatures enforce this.
+and decides through ``pick(values, positions)``: for each row along the
+last axis of ``values`` it returns the index of the column it elects. A
+column holds ``inner`` over the electorate's distances to one candidate,
+and ``positions`` holds the candidates' line coordinates, or ``None`` off
+the line. In the in-step ``values`` is an instance's (districts, m) cached
+district aggregates; in the over step it is one row over the candidates,
+the aggregates of the pseudo-voters' distances. Ordinal rules see only an
+:class:`OrdinalProfile` restricted to their electorate -- rankings plus,
+on line metrics, the left-to-right order of alternatives -- and never raw
+distances; the call signatures enforce this.
 
 Each built-in decision is written once, as an array core that decides along
 the last axis for any number of electorates at once (``pick`` on the rule
@@ -56,8 +59,7 @@ def optimal_rule(instance: Instance, voters: Iterable[int],
         if not (0 <= v < instance.num_agents):
             raise IndexOutOfRange(f"voter {v} out of range")
     values = inner.over_columns(instance.agent_alt[np.array(ids)])
-    return OptimalRule(inner).choose(values, np.arange(instance.num_alternatives),
-                                     None)
+    return int(OptimalRule.pick(values, None))
 
 
 def median_line_rule(profile: OrdinalProfile,
@@ -181,10 +183,6 @@ class OptimalRule:
     info: ClassVar[str] = CARDINAL
     unanimous: ClassVar[bool] = True
     line_only: ClassVar[bool] = False
-
-    def choose(self, values: np.ndarray, candidates: np.ndarray,
-               positions: np.ndarray | None) -> int:
-        return int(candidates[self.pick(values, positions)])
 
     @staticmethod
     def pick(values: np.ndarray, positions: np.ndarray | None) -> np.ndarray:

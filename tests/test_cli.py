@@ -675,6 +675,25 @@ def test_verify_bounds_malformed_json(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify-bounds", "--seed", "-1"], "seed must be nonnegative"),
+    (["verify-bounds", "--trials", "0"], "trials must be positive"),
+    (["verify-bounds", "--config", "array.json"], "config must be a JSON object"),
+    (["check-properties", "avg", "--seed", "-1"], "seed must be nonnegative"),
+], ids=["verify-seed", "verify-trials", "config-array", "properties-seed"])
+def test_rejected_arguments_exit_2(capsys, tmp_path, argv, message):
+    (tmp_path / "array.json").write_text("[]", encoding="utf-8")
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    out_dir = tmp_path / "out"
+    if argv[0] == "verify-bounds":
+        argv += ["--out", str(out_dir)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # rule indices out of range are input errors (exit 2)
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Distortion evaluation, random sweeps, and local search."""
 
+import json
 import math
 from unittest import mock
 
@@ -54,8 +55,8 @@ class WorstCardinalRule:
     line_only = False
     name = "worst"
 
-    def choose(self, values, candidates, positions):
-        return int(candidates[int(np.argmax(values))])
+    def pick(self, values, positions):
+        return values.argmax(axis=-1)
 
 
 def test_evaluate_infinite_ratio_and_json():
@@ -226,7 +227,13 @@ def test_sweep_without_a_comparable_ratio_keeps_trial_zero():
 
     assert math.isnan(nan_result.max_ratio)
     assert nan_result.witness.content_key() == drawn[0].content_key()
-    back = dv.sweep_result_from_json(dv.sweep_result_to_json(nan_result))
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    data = dv.sweep_result_to_json(nan_result)
+    assert data["max_ratio"] is None and data["infinite"] is False
+    back = dv.sweep_result_from_json(json.loads(json.dumps(data),
+                                                parse_constant=refuse))
     assert math.isnan(back.max_ratio) and not back.infinite
     assert back.witness.content_key() == drawn[0].content_key()
     assert not back.max_ratio <= 1e300
@@ -341,6 +348,8 @@ LINE_PANEL = (
     ("arbitrary-dictator", "max.max"),
     ("arl:2", "max.pmean:2"),
     ("arl:1", "max.avg"),
+    ("compose:median,optimal", "avg.avg"),
+    ("compose:median,leftmost", "max.max"),
 )
 
 EUCLIDEAN_PANEL = (
@@ -555,7 +564,7 @@ def reference_select_cardinal(rule, dist, candidates, positions):
             values <= rule.lam * values.min() * (1 + ACCEPT_SLACK))
         pos = positions[acceptable]
         return int(candidates[acceptable[np.flatnonzero(pos == pos.max())[0]]])
-    return rule.choose(values, candidates, positions)
+    return int(candidates[rule.pick(values, positions)])
 
 
 def reference_run(mechanism, instance):
