@@ -22,6 +22,7 @@ from .instances import (
     LINE,
     Instance,
     _consecutive_districts,
+    _distances,
     _line_instance_from_ids,
     _trusted_instance,
     build_euclidean_instance,
@@ -237,6 +238,36 @@ def _ratios(winner_costs: np.ndarray, optimal_costs: np.ndarray) -> np.ndarray:
                     np.where(winner_costs > 0.0, math.inf, 1.0), ratios)
 
 
+def _stack(instances: list[Instance]) -> _Block:
+    """A block of a sweep's drawn instances.
+
+    Alternatives pad to the largest m and district members to the largest
+    district; each instance's agent rows follow the previous instance's.
+    """
+    m = np.array([inst.num_alternatives for inst in instances])
+    n = [inst.num_agents for inst in instances]
+    width = int(m.max())
+    agent_alt = np.zeros((sum(n) + 1, width))   # the last row pads
+    alt_alt = np.zeros((len(instances), width, width))
+    members, start = [], 0
+    for b, inst in enumerate(instances):
+        agent_alt[start:start + n[b], :m[b]] = inst.agent_alt
+        alt_alt[b, :m[b], :m[b]] = inst.alt_alt
+        members += [[start + a for a in d] for d in inst.districts]
+        start += n[b]
+    padded = np.full((len(members), max(map(len, members))), start)
+    for d, ids in enumerate(members):
+        padded[d, :len(ids)] = ids
+    positions = None
+    if all(inst.is_line for inst in instances):
+        positions = np.full(alt_alt.shape[:2], -math.inf)
+        for b, inst in enumerate(instances):
+            positions[b, :m[b]] = inst.alternative_points
+    return _Block(agent_alt, alt_alt, m,
+                  np.array([inst.num_districts for inst in instances]), padded,
+                  positions)
+
+
 def _block_ratios(cells, instances: list[Instance]) -> np.ndarray:
     """The (cells, trials) distortion ratios of one block of instances."""
     try:
@@ -244,7 +275,7 @@ def _block_ratios(cells, instances: list[Instance]) -> np.ndarray:
         rows = []
         for mechanism, objective in cells:
             if _batched(mechanism, objective):
-                block = block or _Block(instances)
+                block = block or _stack(instances)
                 rows.append(block.ratios(mechanism, objective))
             else:
                 rows.append([evaluate(mechanism, instance, objective).ratio
@@ -258,7 +289,7 @@ def _block_ratios(cells, instances: list[Instance]) -> np.ndarray:
 
 
 class _Block:
-    """Drawn instances stacked for evaluation with array expressions.
+    """Instances stacked for evaluation with array expressions.
 
     Alternatives pad to the block's largest m and district members to its
     largest district. Pads are exact zeros inside every sum and maximum;
@@ -268,33 +299,24 @@ class _Block:
     districts to the block's largest k.
     """
 
-    def __init__(self, instances: list[Instance]):
-        self.size = len(instances)
-        self.k = np.array([inst.num_districts for inst in instances])
-        m = [inst.num_alternatives for inst in instances]
-        n = self.agents = [inst.num_agents for inst in instances]
-        width = max(m)
-        self.real = np.arange(width) < np.array(m)[:, None]
-        self.agent_alt = np.zeros((sum(n) + 1, width))   # the last row pads
-        self.alt_alt = np.zeros((self.size, width, width))
-        members, start = [], 0
-        for b, inst in enumerate(instances):
-            self.agent_alt[start:start + n[b], :m[b]] = inst.agent_alt
-            self.alt_alt[b, :m[b], :m[b]] = inst.alt_alt
-            members += [[start + a for a in d] for d in inst.districts]
-            start += n[b]
-        self.sizes = np.array([len(d) for d in members])
-        self.members = np.full((len(members), self.sizes.max()), start)
-        for d, ids in enumerate(members):
-            self.members[d, :len(ids)] = ids
-        self.trial = np.repeat(np.arange(self.size), self.k)
-        self.slot = np.arange(len(members)) - np.repeat(np.cumsum(self.k) - self.k,
-                                                        self.k)
-        self.positions = None
-        if all(inst.is_line for inst in instances):
-            self.positions = np.full(self.real.shape, -math.inf)
-            for b, inst in enumerate(instances):
-                self.positions[b, :m[b]] = inst.alternative_points
+    def __init__(self, agent_alt: np.ndarray, alt_alt: np.ndarray, m: np.ndarray,
+                 k: np.ndarray, members: np.ndarray, positions: np.ndarray | None):
+        """``agent_alt`` holds every trial's agent rows in trial order, then
+        one zero row; ``alt_alt`` is (trials, width, width); ``m`` and ``k``
+        count each trial's alternatives and districts; ``members`` lists each
+        district's agent rows, padded with the zero row; ``positions`` holds
+        the alternatives' line coordinates, -inf at pads, or is None off the
+        line."""
+        self.size = len(k)
+        self.k = k
+        self.real = np.arange(alt_alt.shape[-1]) < m[:, None]
+        self.agent_alt = agent_alt
+        self.alt_alt = alt_alt
+        self.members = members
+        self.sizes = (members < len(agent_alt) - 1).sum(axis=1)
+        self.trial = np.repeat(np.arange(self.size), k)
+        self.slot = np.arange(len(members)) - np.repeat(np.cumsum(k) - k, k)
+        self.positions = positions
         self._cache: dict = {}
 
     def _cached(self, key, compute):
@@ -313,7 +335,8 @@ class _Block:
     def tops(self) -> np.ndarray:
         """Every agent's top alternative, the first of its stable ranking;
         the pad row's is 0."""
-        real = self.real[np.repeat(np.arange(self.size), self.agents)]
+        # a trial's agent rows are the members of its districts
+        real = self.real[np.repeat(self.trial, self.sizes)]
         tops = np.where(real, self.agent_alt[:-1], math.inf).argmin(axis=-1)
         return np.append(tops, 0)
 
@@ -506,6 +529,13 @@ def sweep(mechanism: Mechanism, objective: ComposedObjective,
 # adversarial local search
 # ---------------------------------------------------------------------------
 
+#: Moves in a climb's first speculative block. A block that accepts no move
+#: doubles the next one, up to the block budget; an accepted move resets it.
+#: A block's fixed cost is that of dozens of moves, so a move evaluated in
+#: vain after an accepted one costs little.
+_CLIMB_BLOCK = 16
+
+
 def hill_climb(mechanism: Mechanism, objective: ComposedObjective,
                init: Instance, steps: int = 2000, step_size: float = 0.05,
                seed: int = 0, patience: int = 250) -> SweepResult:
@@ -515,6 +545,19 @@ def hill_climb(mechanism: Mechanism, objective: ComposedObjective,
     perturbation; moves that raise the ratio are kept. After ``patience``
     consecutive rejections the search restarts from the best point with a
     larger kick to escape the plateau. The district structure never changes.
+    A move or restart whose coordinates or distances are not finite raises
+    ValueError.
+
+    Moves are evaluated in speculative blocks. From the current point the
+    next few moves are drawn as if each were to be rejected, stacked, and
+    evaluated as one ``_Block``; the first that raises the ratio is taken.
+    The draws never depend on the current point, so the moves drawn after an
+    accepted one are applied to the new point in turn, and no block runs
+    past a restart or the last step: the generator is called in the same
+    order, and the climb returns the same result, as when each move is
+    evaluated alone. A block starts at ``_CLIMB_BLOCK`` moves and doubles
+    after each block that accepts none. Cells a block cannot decide
+    (``_batched``) evaluate one move at a time, each through ``evaluate``.
     """
     if not init.is_line:
         raise NotLineMetric("hill climbing perturbs line positions")
@@ -522,52 +565,97 @@ def hill_climb(mechanism: Mechanism, objective: ComposedObjective,
         raise GeneratorError("steps must be nonnegative")
     if patience < 1:
         raise GeneratorError("patience must be at least 1")
+    if seed < 0:
+        raise GeneratorError("seeds must be nonnegative")
     # NaN fails ``step_size >= 0``
     if not (step_size >= 0 and math.isfinite(step_size)):
         raise ValueError(f"step_size {step_size} must be finite and nonnegative")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
+    n, m = init.num_agents, init.num_alternatives
+    nonfinite = "coordinates and distances must be finite"
 
-    def build(agent_pos: np.ndarray, alt_pos: np.ndarray) -> Instance:
-        # init's districts are canonical; only a perturbation can go bad
-        if not (np.isfinite(agent_pos).all() and np.isfinite(alt_pos).all()):
-            raise ValueError("coordinates and distances must be finite")
-        return _trusted_instance(LINE, agent_pos, init.districts, alt_pos)
+    def build(points: np.ndarray) -> Instance:
+        # init's districts are canonical; only a perturbation can go bad, and
+        # a coordinate that is not finite makes some distance not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            inst = _trusted_instance(LINE, points[:n], init.districts, points[n:])
+        if not (np.isfinite(inst.agent_alt).all() and np.isfinite(inst.alt_alt).all()):
+            raise ValueError(nonfinite)
+        return inst
 
     def ratio_of(inst: Instance) -> float:
         return evaluate(mechanism, inst, objective).ratio
 
-    cur = best = init
-    cur_ratio = best_ratio = ratio_of(init)
-    evaluated = 1
-    stale = 0
-    n, m = init.num_agents, init.num_alternatives
+    if _batched(mechanism, objective):
+        most = _block_trials(GeneratorSpec(kind="fixed", instance=init))
+        members = _stack([init]).members   # padded with row n
 
-    for _ in range(steps):
-        agents = cur.agent_points.copy()
-        alts = cur.alternative_points.copy()
-        j = int(rng.integers(n + m))
-        delta = float(rng.normal(0.0, step_size))
-        if j < n:
-            agents[j] += delta
-        else:
-            alts[j - n] += delta
-        candidate = build(agents, alts)
-        r = ratio_of(candidate)
-        evaluated += 1
-        if r > cur_ratio:
-            cur, cur_ratio = candidate, r
+        def ratios(moves: np.ndarray) -> np.ndarray:
+            """The ratios of the moves before the first whose distances are
+            not finite."""
+            with np.errstate(over="ignore", invalid="ignore"):
+                agent_alt = _distances(LINE, moves[:, :n], moves[:, n:])
+                alt_alt = _distances(LINE, moves[:, n:], moves[:, n:])
+            finite = (np.isfinite(agent_alt).all(axis=(1, 2))
+                      & np.isfinite(alt_alt).all(axis=(1, 2)))
+            b = int(np.logical_and.accumulate(finite).sum())
+            if b == 0:
+                return np.empty(0)
+            rows = np.concatenate([agent_alt[:b].reshape(b * n, m), np.zeros((1, m))])
+            stacked = np.where(members < n, members + n * np.arange(b)[:, None, None],
+                               b * n)
+            block = _Block(rows, alt_alt[:b], np.full(b, m),
+                           np.full(b, init.num_districts),
+                           stacked.reshape(-1, members.shape[1]), moves[:b, n:])
+            return block.ratios(mechanism, objective)
+    else:
+        most = 1
+
+        def ratios(moves: np.ndarray) -> list[float]:
+            return [ratio_of(build(moves[0]))]
+
+    points = np.concatenate([init.agent_points, init.alternative_points])
+    cur_ratio = best_ratio = ratio_of(init)
+    best = init
+    evaluated = 1
+    stale = taken = 0
+    size = min(_CLIMB_BLOCK, most)
+    queued: list[tuple[int, float]] = []   # moves drawn, not yet evaluated
+    while taken < steps:
+        take = min(size, patience - stale, steps - taken)
+        while len(queued) < take:
+            queued.append((int(rng.integers(n + m)), float(rng.normal(0.0, step_size))))
+        moves = np.repeat(points[None], take, axis=0)
+        j, delta = zip(*queued[:take])
+        with np.errstate(over="ignore"):
+            moves[np.arange(take), j] += delta
+        r = ratios(moves)
+        better = np.flatnonzero(np.greater(r, cur_ratio))
+        if not better.size and len(r) < take:
+            raise ValueError(nonfinite)
+        used = int(better[0]) + 1 if better.size else take
+        del queued[:used]
+        taken += used
+        evaluated += used
+        if better.size:
+            points = moves[used - 1].copy()
+            cur_ratio = float(r[used - 1])
             stale = 0
-            if r > best_ratio:
-                best, best_ratio = candidate, r
-        else:
-            stale += 1
-            if stale >= patience:
+            size = min(_CLIMB_BLOCK, most)
+            if cur_ratio > best_ratio:
+                best, best_ratio = build(points), cur_ratio
+            continue
+        stale += take
+        size = min(2 * size, most)
+        if stale == patience:
+            with np.errstate(over="ignore"):
                 agents = best.agent_points + rng.normal(0.0, step_size * 10, n)
                 alts = best.alternative_points + rng.normal(0.0, step_size * 10, m)
-                cur = build(agents, alts)
-                cur_ratio = ratio_of(cur)
-                evaluated += 1
-                stale = 0
-                if cur_ratio > best_ratio:
-                    best, best_ratio = cur, cur_ratio
+            points = np.concatenate([agents, alts])
+            cur = build(points)
+            cur_ratio = ratio_of(cur)
+            evaluated += 1
+            stale = 0
+            if cur_ratio > best_ratio:
+                best, best_ratio = cur, cur_ratio
     return SweepResult(best_ratio, best, evaluated, seed)

@@ -26,11 +26,13 @@ identity) and each ordinal in-rule's representatives
 (``mechanisms._representatives``, keyed by the rule). Every mechanism and
 objective evaluated on one instance shares them.
 
-Every line and euclidean instance is assembled by ``_trusted_instance``, the
-one place their distances are computed. The public builders and the JSON
-reader check everything they are given first, through ``_points_instance``;
-instances the package generates itself (random draws, hill-climbing
-rebuilds) reach ``_trusted_instance`` directly, without checks or copies.
+Every line and euclidean instance is assembled by ``_trusted_instance``, and
+``_distances`` is the one place their distances are computed, for one
+instance or for a stack of them (hill climbing's speculative move blocks).
+The public builders and the JSON reader check everything they are given
+first, through ``_points_instance``; instances the package generates itself
+(random draws, hill-climbing rebuilds) reach ``_trusted_instance`` directly,
+without checks or copies.
 """
 
 from __future__ import annotations
@@ -234,23 +236,32 @@ def _consecutive_districts(sizes: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(districts)
 
 
+def _distances(kind: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Every distance from a point of ``a`` to a point of ``b``.
+
+    The only code that computes line and euclidean distances. ``a`` holds
+    points (..., p) on a line or (..., p, dim) in euclidean space, ``b``
+    points (..., q) or (..., q, dim) with the same leading batch axes; the
+    result is (..., p, q).
+    """
+    if kind == LINE:
+        return np.abs(a[..., :, None] - b[..., None, :])
+    return np.linalg.norm(a[..., :, None, :] - b[..., None, :, :], axis=-1)
+
+
 def _trusted_instance(kind: str, agent_points: np.ndarray,
                       districts: tuple[tuple[int, ...], ...],
                       alternative_points: np.ndarray) -> Instance:
     """A line or euclidean instance assembled without checks or copies.
 
-    The only place line and euclidean distances are computed. The caller
-    vouches that the points are finite float64 arrays (shape (n,) on a line,
-    (n, dim) in euclidean space) and that ``districts`` is already canonical:
-    sorted id tuples partitioning the agents. The point arrays become
-    read-only here, so the caller must not write to them afterwards.
+    Its distances are ``_distances`` of a batch of one. The caller vouches
+    that the points are finite float64 arrays (shape (n,) on a line, (n, dim)
+    in euclidean space) and that ``districts`` is already canonical: sorted
+    id tuples partitioning the agents. The point arrays become read-only
+    here, so the caller must not write to them afterwards.
     """
-    def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        diff = a[:, None] - b[None, :]
-        return np.abs(diff) if kind == LINE else np.linalg.norm(diff, axis=2)
-
-    return Instance(kind, districts, distances(agent_points, alternative_points),
-                    distances(alternative_points, alternative_points),
+    return Instance(kind, districts, _distances(kind, agent_points, alternative_points),
+                    _distances(kind, alternative_points, alternative_points),
                     agent_points, alternative_points)
 
 

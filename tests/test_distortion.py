@@ -656,7 +656,7 @@ def test_line_axis_matches_lexsort_and_block_order():
         instances.append(dv.build_line_instance(
             [grid(drawn.agent_points[list(d)]) for d in drawn.districts],
             grid(drawn.alternative_points)))
-    order = dv.distortion._Block(instances).order
+    order = dv.distortion._stack(instances).order
     tied = 0
     for instance, row in zip(instances, order):
         m = instance.num_alternatives
@@ -834,3 +834,193 @@ def test_hill_climb_rejects_bad_step_size_before_any_draw(worked, step_size):
             pytest.raises(ValueError, match="step_size.*finite"):
         dv.hill_climb(mech, objective, worked, steps=5, step_size=step_size)
     generator.assert_not_called()
+
+
+def test_hill_climb_rejects_negative_seed_before_any_draw(worked):
+    mech = make("compose:optimal,optimal", "avg.avg")
+    objective = dv.parse_objective("avg.avg")
+    with mock.patch.object(dv.distortion.np.random, "Generator") as generator, \
+            pytest.raises(dv.GeneratorError, match="seeds must be nonnegative"):
+        dv.hill_climb(mech, objective, worked, steps=5, seed=-1)
+    generator.assert_not_called()
+
+
+def reference_hill_climb(mechanism, objective, init, steps=2000, step_size=0.05,
+                         seed=0, patience=250):
+    """Test-only oracle: the climb one move at a time.
+
+    Each move is rebuilt into its own instance and evaluated alone; a move or
+    restart with a coordinate or distance that is not finite raises.
+    """
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
+
+    def build(agents, alts):
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = (np.isfinite(np.abs(agents[:, None] - alts[None, :])).all()
+                      and np.isfinite(np.abs(alts[:, None] - alts[None, :])).all())
+        if not (finite and np.isfinite(agents).all() and np.isfinite(alts).all()):
+            raise ValueError("coordinates and distances must be finite")
+        return dv.instances._trusted_instance(dv.LINE, agents, init.districts, alts)
+
+    def ratio_of(inst):
+        return dv.evaluate(mechanism, inst, objective).ratio
+
+    cur = best = init
+    cur_ratio = best_ratio = ratio_of(init)
+    evaluated = 1
+    stale = 0
+    n, m = init.num_agents, init.num_alternatives
+    for _ in range(steps):
+        agents = cur.agent_points.copy()
+        alts = cur.alternative_points.copy()
+        j = int(rng.integers(n + m))
+        delta = float(rng.normal(0.0, step_size))
+        with np.errstate(over="ignore"):
+            if j < n:
+                agents[j] += delta
+            else:
+                alts[j - n] += delta
+        candidate = build(agents, alts)
+        r = ratio_of(candidate)
+        evaluated += 1
+        if r > cur_ratio:
+            cur, cur_ratio = candidate, r
+            stale = 0
+            if r > best_ratio:
+                best, best_ratio = candidate, r
+        else:
+            stale += 1
+            if stale >= patience:
+                with np.errstate(over="ignore"):
+                    agents = best.agent_points + rng.normal(0.0, step_size * 10, n)
+                    alts = best.alternative_points + rng.normal(0.0, step_size * 10, m)
+                cur = build(agents, alts)
+                cur_ratio = ratio_of(cur)
+                evaluated += 1
+                stale = 0
+                if cur_ratio > best_ratio:
+                    best, best_ratio = cur, cur_ratio
+    return dv.SweepResult(best_ratio, best, evaluated, seed)
+
+
+def _climb_outcome(climb, *args, **kwargs):
+    """What a climb returns, or the type and message of what it raises."""
+    try:
+        result = climb(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return repr(result.max_ratio), result.evaluated, result.witness.content_key()
+
+
+#: Batched cells (cardinal and ordinal, avg, max and mixed) and one
+#: plurality-matching cell, which a block cannot decide.
+CLIMB_PANEL = (
+    ("arl:2", "max.max"),
+    ("compose:optimal,optimal", "avg.avg"),
+    ("compose:optimal,optimal,reps-only", "avg.avg"),
+    ("compose:median,leftmost", "max.max"),
+    ("compose:optimal,optimal", "max.avg"),
+    ("arbitrary-dictator", "avg.max"),
+    ("compose:plurality-matching,plurality-matching", "avg.max"),
+)
+
+
+def _climb_inits():
+    spec = dv.GeneratorSpec(n_range=(4, 9), m_range=(2, 5), k_range=(1, 3))
+    drawn = [dv.random_instance(_trial_rng(41, i), spec) for i in range(2)]
+    # scattered districts: agent ids are not consecutive within a district
+    drawn.append(dv.instance_from_json({
+        "metric": {"type": "line", "agent_positions": [[0.1, 0.8], [0.4, 0.3, 1.2]],
+                   "alternative_positions": [0.2, 0.9, 0.5]},
+        "districts": [[0, 3], [1, 2, 4]]}))
+    return drawn
+
+
+@pytest.mark.parametrize("panel_cell", CLIMB_PANEL, ids=" ".join)
+def test_hill_climb_matches_one_move_at_a_time(panel_cell):
+    (mechanism, objective), = _cells([panel_cell])
+    batched = dv.distortion._batched(mechanism, objective)
+    assert batched == ("plurality-matching" not in panel_cell[0])
+    compared = 0
+    for c, init in enumerate(_climb_inits()):
+        for patience in (1, 3, 7, 250):
+            for steps in (0, 1, 5, 37, 600):
+                kwargs = dict(steps=steps, seed=c + patience + steps,
+                              patience=patience, step_size=0.05 + 0.1 * c)
+                expected = _climb_outcome(reference_hill_climb, mechanism,
+                                          objective, init, **kwargs)
+                assert _climb_outcome(dv.hill_climb, mechanism, objective, init,
+                                      **kwargs) == expected, kwargs
+                compared += 1
+    assert compared == 60
+
+
+def _check_first_raise(mechanism, objective, init, **kwargs):
+    """Climbs of 0, 1, 2, ... steps match the one-move oracle up to the first
+    that raises, which must raise the oracle's error. Returns its steps."""
+    for steps in range(200):
+        expected = _climb_outcome(reference_hill_climb, mechanism, objective,
+                                  init, steps=steps, **kwargs)
+        assert _climb_outcome(dv.hill_climb, mechanism, objective, init,
+                              steps=steps, **kwargs) == expected, steps
+        if expected[0] is ValueError:
+            assert expected[1] == "coordinates and distances must be finite"
+            return steps
+    raise AssertionError("the oracle never raised")
+
+
+@pytest.mark.parametrize("panel_cell", [CLIMB_PANEL[0], CLIMB_PANEL[-1]], ids=" ".join)
+@pytest.mark.parametrize("patience", [3, 250])
+def test_hill_climb_raises_where_one_move_at_a_time_does(worked, panel_cell, patience):
+    # a step of 1e308 overflows a coordinate within a few moves, and a
+    # restart's kick of 1e309 at once
+    (mechanism, objective), = _cells([panel_cell])
+    assert _check_first_raise(mechanism, objective, worked, step_size=1e308,
+                              seed=5, patience=patience) > 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mechanism_spec", ["compose:optimal,optimal",
+                                            "compose:plurality-matching,arbitrary"])
+@pytest.mark.parametrize("seed", range(6))
+def test_hill_climb_rejects_moves_whose_distances_overflow(mechanism_spec, seed):
+    # finite coordinates whose gaps exceed the float range; the second cell
+    # is not batched, so each of its moves is built alone
+    init = dv.build_line_instance([[8.5e307], [8.9e307]], [-8.5e307, 8.8e307])
+    (mechanism, objective), = _cells([(mechanism_spec, "max.max")])
+    with pytest.raises(ValueError, match="coordinates and distances must be finite"):
+        dv.hill_climb(mechanism, objective, init, step_size=1e307, seed=seed)
+    _check_first_raise(mechanism, objective, init, step_size=1e307, seed=seed)
+
+
+class ScriptedGenerator:
+    """Test stub for a climb's generator: it hands out the given moves, each
+    a (coordinate, delta) pair, in order."""
+
+    def __init__(self, moves):
+        self.moves = list(moves)
+
+    def integers(self, high):
+        return self.moves[0][0]
+
+    def normal(self, loc, scale):
+        return self.moves.pop(0)[1]
+
+
+def test_hill_climb_checks_each_move_against_the_point_it_moves():
+    # agent 0 moves to -5e307, which raises the ratio, then by +1.75e308:
+    # from there it lands at 1.25e308, but from its start it would land
+    # 1.85e308 from alternative 1, a distance beyond float range
+    init = dv.build_line_instance([[0.0, 1.0], [2.0]], [0.5, -1e307, 1.8])
+    (mechanism, objective), = _cells([("compose:optimal,optimal", "max.max")])
+    assert dv.distortion._batched(mechanism, objective)
+    first, second = (0, -5e307), (0, 1.75e308)
+    for moves, expected in (([second], (ValueError,
+                                        "coordinates and distances must be finite")),
+                            ([first, second], ("1.25", 3))):
+        for climb in (reference_hill_climb, dv.hill_climb):
+            with mock.patch.object(np.random, "Generator",
+                                   lambda bits: ScriptedGenerator(moves)):
+                outcome = _climb_outcome(climb, mechanism, objective, init,
+                                         steps=len(moves))
+            assert outcome[:2] == expected, climb
