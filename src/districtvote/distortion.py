@@ -41,14 +41,7 @@ from .mechanisms import (
     run,
 )
 from .objectives import CUSTOM_KIND, ComposedObjective, cost_vector
-from .rules import (
-    CARDINAL,
-    DictatorRule,
-    MedianLineRule,
-    OptimalRule,
-    dictator_tops,
-    lower_median,
-)
+from .rules import CARDINAL, DictatorRule, Electorate, MedianLineRule, OptimalRule
 
 
 @dataclass(frozen=True)
@@ -345,12 +338,11 @@ class _Block:
         """Each trial's alternatives left to right, ties by id, pads first."""
         return np.argsort(self.positions, axis=-1, kind="stable")
 
-    @functools.cached_property
-    def ranks(self) -> np.ndarray:
-        """Each alternative's place in its trial's ``order``."""
-        ranks = np.empty_like(self.order)
-        np.put_along_axis(ranks, self.order, np.arange(self.order.shape[1]), axis=-1)
-        return ranks
+    def _electorate(self, peaks: np.ndarray, counts: np.ndarray,
+                    rows: np.ndarray) -> Electorate:
+        """Rows of ``peaks`` over the alternatives of the given trials."""
+        return Electorate(peaks, counts,
+                          None if self.positions is None else self.order[rows])
 
     def _offer(self, rule, values: np.ndarray, offered: np.ndarray,
                rows: np.ndarray) -> np.ndarray:
@@ -379,13 +371,8 @@ class _Block:
             if rule.info == CARDINAL:
                 return self._offer(rule, self.aggregates(rule.inner),
                                    self.real[self.trial], self.trial)
-            peaks = self.tops[self.members]
-            if type(rule) is DictatorRule:
-                return dictator_tops(peaks, self.sizes, rule.dictator_index)
-            seated = np.arange(peaks.shape[1]) < self.sizes[:, None]
-            ranks = np.where(seated, self.ranks[self.trial[:, None], peaks],
-                             self.real.shape[1])
-            return self.order[self.trial, lower_median(ranks, self.sizes)]
+            return rule.pick(self._electorate(self.tops[self.members],
+                                              self.sizes, self.trial))
         return self._cached(("representatives", rule), compute)
 
     def winners(self, mechanism: Mechanism) -> np.ndarray:
@@ -396,23 +383,18 @@ class _Block:
         if rows.size == 0:
             return winners
         reps, k = reps[rows], self.k[rows]
+        over = mechanism.over_rule
+        if over.info != CARDINAL:
+            winners[rows] = over.pick(self._electorate(reps, k, rows))
+            return winners
         seated = np.arange(reps.shape[1]) < k[:, None]
-        over, width = mechanism.over_rule, self.real.shape[1]
-        if over.info == CARDINAL:
-            block = np.where(seated[..., None], self.alt_alt[rows[:, None], reps], 0.0)
-            values = over.inner.aggregate(block, k[:, None])
-            offered = self.real[rows]
-            if mechanism.selection_mode == REPRESENTATIVES_ONLY:
-                offered = offered & ((reps[..., None] == np.arange(width))
-                                     & seated[..., None]).any(axis=1)
-            winners[rows] = self._offer(over, values, offered, rows)
-        elif type(over) is ArbitraryOverRule:
-            winners[rows] = over.pick(reps, k)
-        else:
-            ranks = np.where(seated, self.ranks[rows[:, None], reps], width)
-            rank = (over.pick(ranks) if type(over) is LeftmostRepRule
-                    else lower_median(ranks, k))
-            winners[rows] = self.order[rows, rank]
+        block = np.where(seated[..., None], self.alt_alt[rows[:, None], reps], 0.0)
+        values = over.inner.aggregate(block, k[:, None])
+        offered = self.real[rows]
+        if mechanism.selection_mode == REPRESENTATIVES_ONLY:
+            offered = offered & ((reps[..., None] == np.arange(self.real.shape[1]))
+                                 & seated[..., None]).any(axis=1)
+        winners[rows] = self._offer(over, values, offered, rows)
         return winners
 
     def ratios(self, mechanism: Mechanism, objective: ComposedObjective) -> np.ndarray:
@@ -545,8 +527,9 @@ def hill_climb(mechanism: Mechanism, objective: ComposedObjective,
     perturbation; moves that raise the ratio are kept. After ``patience``
     consecutive rejections the search restarts from the best point with a
     larger kick to escape the plateau. The district structure never changes.
-    A move or restart whose coordinates or distances are not finite raises
-    ValueError.
+    ``step_size`` must be nonnegative, with the restart kick's scale,
+    ``step_size * 10``, finite. A move or restart whose coordinates or
+    distances are not finite raises ValueError.
 
     Moves are evaluated in speculative blocks. From the current point the
     next few moves are drawn as if each were to be rejected, stacked, and
@@ -567,9 +550,10 @@ def hill_climb(mechanism: Mechanism, objective: ComposedObjective,
         raise GeneratorError("patience must be at least 1")
     if seed < 0:
         raise GeneratorError("seeds must be nonnegative")
-    # NaN fails ``step_size >= 0``
-    if not (step_size >= 0 and math.isfinite(step_size)):
-        raise ValueError(f"step_size {step_size} must be finite and nonnegative")
+    # NaN fails ``step_size >= 0``; a restart kicks by ``step_size * 10``
+    if not (step_size >= 0 and math.isfinite(step_size * 10)):
+        raise ValueError(f"step_size {step_size} must be nonnegative, "
+                         "with step_size * 10 finite")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
     n, m = init.num_agents, init.num_alternatives
     nonfinite = "coordinates and distances must be finite"

@@ -6,18 +6,21 @@ per district, located at the representative, to pick the winner. With a
 single district the two steps collapse: the representative is the winner.
 
 The over step can offer the full alternative set (the default) or only the
-representatives themselves. Ordinal rules receive derived rankings only. A
-cardinal rule's ``pick`` receives its inner objective's value per candidate
-and returns a column index per row: in the in-step all districts at once,
-as the (districts, m) rows of the instance's cached district aggregates; in
-the over step one row, the aggregates of the pseudo-voters' distances.
-The in-step's work is kept in the instance's cache, so mechanisms sharing
-an in-rule or its inner objective share it. Factories are provided for the
-named mechanisms: plain composition, composition through an arbitrary over
-step, dictator-then-median on a line, and the threshold-acceptance line
-mechanism (pick the rightmost acceptable alternative per district, then the
-leftmost representative). ``claimed_bound`` reads every bound this package
-claims from one table (``IN_FACTORS``, ``OVER_FACTORS``, ``MECHANISM_BOUNDS``).
+representatives themselves. Every rule decides through its ``pick`` core
+(see ``rules``). A cardinal rule's ``pick`` receives its inner objective's
+value per candidate: in the in-step all districts at once, as the
+(districts, m) rows of the instance's cached district aggregates; in the
+over step one row, the aggregates of the pseudo-voters' distances. An
+ordinal rule's ``pick`` receives an ``Electorate`` of one row: a
+district's agents with their derived rankings, or the pseudo-voters with
+the representatives as peaks. The in-step's work is kept in the instance's
+cache, so mechanisms sharing an in-rule or its inner objective share it.
+Factories are provided for the named mechanisms: plain composition,
+composition through an arbitrary over step, dictator-then-median on a
+line, and the threshold-acceptance line mechanism (pick the rightmost
+acceptable alternative per district, then the leftmost representative).
+``claimed_bound`` reads every bound this package claims from one table
+(``IN_FACTORS``, ``OVER_FACTORS``, ``MECHANISM_BOUNDS``).
 """
 
 from __future__ import annotations
@@ -54,11 +57,11 @@ from .objectives import (
 from .rules import (
     CARDINAL,
     DictatorRule,
+    Electorate,
     MedianLineRule,
     OptimalRule,
     ORDINAL,
     PluralityMatchingRule,
-    axis_ranks,
     parse_direct_rule,
 )
 from .tolerances import ACCEPT_SLACK
@@ -97,19 +100,15 @@ class ArbitraryOverRule:
     def name(self) -> str:
         return "arbitrary" if self.index == 0 else f"arbitrary:{self.index}"
 
-    def select_ordinal(self, profile: OrdinalProfile,
-                       peaks: Sequence[int] | None = None) -> int:
-        if not peaks:
-            raise EmptyVoterSet("arbitrary over rule needs representatives")
-        return int(self.pick(np.asarray(peaks), len(peaks)))
-
-    def pick(self, peaks: np.ndarray, counts) -> np.ndarray:
-        """Entry ``index`` of each row of representatives; rows run along the
-        last axis and hold ``counts`` districts each."""
-        if np.any((self.index < 0) | (counts <= self.index)):
-            raise IndexOutOfRange(f"district index {self.index} out of range "
-                                  f"for {np.min(counts)} districts")
-        return peaks[..., self.index]
+    def pick(self, electorate: Electorate) -> np.ndarray:
+        """Peak ``index`` of each row: that district's representative."""
+        index, counts = self.index, electorate.counts
+        if index < 0 or (counts <= index).any():
+            if not counts.all():
+                raise EmptyVoterSet("arbitrary over rule needs representatives")
+            raise IndexOutOfRange(f"district index {index} out of range "
+                                  f"for {counts.min()} districts")
+        return electorate.peaks[..., index]
 
 
 @dataclass(frozen=True)
@@ -121,17 +120,12 @@ class LeftmostRepRule:
     unanimous: ClassVar[bool] = True
     line_only: ClassVar[bool] = True
 
-    def select_ordinal(self, profile: OrdinalProfile,
-                       peaks: Sequence[int] | None = None) -> int:
-        if not peaks:
-            raise EmptyVoterSet("leftmost rule needs representatives")
-        ranks = axis_ranks(profile, peaks, "leftmost rule")
-        return int(profile.line_axis[self.pick(ranks)])
-
     @staticmethod
-    def pick(ranks: np.ndarray) -> np.ndarray:
-        """The least axis rank along the last axis (pads rank above all)."""
-        return ranks.min(axis=-1)
+    def pick(electorate: Electorate) -> np.ndarray:
+        """The peak of least place on each row's axis."""
+        if not electorate.counts.all():
+            raise EmptyVoterSet("leftmost rule needs representatives")
+        return electorate.on_axis(electorate.ranks("leftmost rule").min(axis=-1))
 
 
 @dataclass(frozen=True)
@@ -219,7 +213,7 @@ def compose(in_rule, over_rule,
 
 def _select_in(rule, members: Sequence[int], profile: OrdinalProfile) -> int:
     """One district's representative under an ordinal rule, from its rankings."""
-    return rule.select_ordinal(profile.restrict(members))
+    return int(rule.pick(Electorate.of(profile.restrict(members))))
 
 
 def _representatives(rule, instance: Instance) -> tuple[int, ...]:
@@ -244,17 +238,14 @@ def _representatives(rule, instance: Instance) -> tuple[int, ...]:
     return instance._derived(("representatives", rule), compute)
 
 
-def _pseudo_profile(instance: Instance, reps: Sequence[int],
+def _pseudo_profile(instance: Instance, reps: np.ndarray,
                     candidates: np.ndarray) -> OrdinalProfile:
-    """Rankings of pseudo-voters standing at the representatives."""
-    rows = instance.alternative_rankings()[np.array(reps, dtype=np.int64)]
-    axis = instance.line_axis()
+    """Rankings of the candidates by pseudo-voters standing at the
+    representatives."""
+    rows = instance.alternative_rankings()[reps]
     if candidates.size != instance.num_alternatives:
         rows = rows[np.isin(rows, candidates)].reshape(len(reps), candidates.size)
-        if axis is not None:
-            keep = set(candidates.tolist())
-            axis = tuple(a for a in axis if a in keep)
-    return OrdinalProfile(rows, axis)
+    return OrdinalProfile(rows)
 
 
 def check_metric(mechanism: Mechanism, line: bool) -> None:
@@ -280,15 +271,17 @@ def run(mechanism: Mechanism, instance: Instance) -> MechanismTrace:
     else:
         candidates = np.arange(instance.num_alternatives)
 
-    over = mechanism.over_rule
+    over, peaks = mechanism.over_rule, np.array(reps, dtype=np.int64)
     if over.info == CARDINAL:
-        block = instance.alt_alt[np.array(reps, dtype=np.int64)][:, candidates]
+        block = instance.alt_alt[peaks][:, candidates]
         positions = (instance.alternative_points[candidates]
                      if instance.is_line else None)
         winner = candidates[over.pick(over.inner.over_columns(block), positions)]
     else:
-        pseudo = _pseudo_profile(instance, reps, candidates)
-        winner = over.select_ordinal(pseudo, reps)
+        # the representatives are candidates, so the whole axis orders them
+        winner = over.pick(Electorate(
+            peaks, np.asarray(len(reps)), instance.line_axis(),
+            lambda: _pseudo_profile(instance, peaks, candidates)))
 
     return MechanismTrace(reps, int(winner),
                           (all_alts, tuple(candidates.tolist())))

@@ -1,21 +1,21 @@
 """Single-winner voting rules used inside and across districts.
 
-Two information models exist. A cardinal rule has an ``inner`` objective
-and decides through ``pick(values, positions)``: for each row along the
-last axis of ``values`` it returns the index of the column it elects. A
+Two information models exist, and a rule of either decides through one
+array core, ``pick``, that returns one decision per row along the last
+axis. A cardinal rule has an ``inner`` objective, and
+``pick(values, positions)`` returns the index of the column it elects. A
 column holds ``inner`` over the electorate's distances to one candidate,
 and ``positions`` holds the candidates' line coordinates, or ``None`` off
 the line. In the in-step ``values`` is an instance's (districts, m) cached
 district aggregates; in the over step it is one row over the candidates,
-the aggregates of the pseudo-voters' distances. Ordinal rules see only an
-:class:`OrdinalProfile` restricted to their electorate -- rankings plus,
-on line metrics, the left-to-right order of alternatives -- and never raw
-distances; the call signatures enforce this.
+the aggregates of the pseudo-voters' distances. An ordinal rule never sees
+distances: ``pick(electorate)`` reads an :class:`Electorate` -- the voters'
+peaks, on a line the left-to-right order of alternatives, and for a single
+row its rankings -- and returns the alternative it elects.
 
-Each built-in decision is written once, as an array core that decides along
-the last axis for any number of electorates at once (``pick`` on the rule
-objects, ``lower_median``, ``dictator_tops``): a per-instance call is its
-batch of one, and ``sweep_cells`` hands it a whole block of trials.
+A per-instance run calls ``pick`` on one instance (a cardinal in-step
+decides all its districts at once; every other step is one row), and
+``sweep_cells`` hands it a whole block of trials.
 
 All four rules here are unanimous: when every voter ranks the same
 alternative first, that alternative wins.
@@ -24,7 +24,7 @@ alternative first, that alternative wins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Sequence
+from typing import Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,94 +34,60 @@ from .errors import (
     InternalNoWinner,
     MissingAxis,
 )
-from .instances import Instance, OrdinalProfile
+from .instances import OrdinalProfile
 from .objectives import InnerObjective
 
 CARDINAL = "cardinal"
 ORDINAL = "ordinal"
 
 
-# ---------------------------------------------------------------------------
-# functional rule cores
-# ---------------------------------------------------------------------------
+class Electorate(NamedTuple):
+    """Rows of voters along the last axis, as an ordinal rule sees them.
 
-def optimal_rule(instance: Instance, voters: Iterable[int],
-                 inner: InnerObjective) -> int:
-    """Alternative minimizing the inner aggregate over the given voters.
-
-    Ties break toward the lowest alternative id. This is the cardinal
-    benchmark rule: its approximation factor for its own aggregator is 1.
+    ``peaks`` (..., width) holds one alternative id per voter: the agents'
+    top choices in the in-step, the representatives in the over step.
+    Entries past a row's count in ``counts`` (...) are pads. On a line,
+    ``axis`` (..., m) lists each row's alternative ids left to right; off it
+    ``axis`` is None. For a single row, ``profile()`` returns its
+    :class:`OrdinalProfile`. Only plurality matching calls it, so the over
+    step builds its pseudo-voters' rankings for that rule alone. A named
+    tuple, because the per-instance run builds one per district.
     """
-    ids = sorted(int(v) for v in voters)
-    if not ids:
-        raise EmptyVoterSet("optimal rule needs at least one voter")
-    for v in ids:
-        if not (0 <= v < instance.num_agents):
-            raise IndexOutOfRange(f"voter {v} out of range")
-    values = inner.over_columns(instance.agent_alt[np.array(ids)])
-    return int(OptimalRule.pick(values, None))
+
+    peaks: np.ndarray
+    counts: np.ndarray
+    axis: np.ndarray | Sequence[int] | None = None
+    profile: Callable[[], OrdinalProfile] | None = None
+
+    @classmethod
+    def of(cls, profile: OrdinalProfile,
+           peaks: Sequence[int] | None = None) -> "Electorate":
+        """One row: the profile's voters, each peaked at their top choice
+        unless ``peaks`` gives one peak per voter."""
+        peaks = profile.tops if peaks is None else np.asarray(peaks, dtype=np.int64)
+        return cls(peaks, np.asarray(len(peaks)), profile.line_axis, lambda: profile)
+
+    def ranks(self, rule: str) -> np.ndarray:
+        """Each peak's place on its row's axis; pads rank after every real
+        alternative. ``rule`` names the rule in the MissingAxis message."""
+        if self.axis is None:
+            raise MissingAxis(f"{rule} needs the line ordering of alternatives")
+        axis = np.asarray(self.axis)
+        hits = self.peaks[..., :, None] == axis[..., None, :]
+        pads = np.arange(self.peaks.shape[-1]) >= self.counts[..., None]
+        lost = ~(pads | hits.any(axis=-1))
+        if lost.any():
+            raise IndexOutOfRange(f"peak {self.peaks[lost][0]} is not on the line axis")
+        return np.where(pads, axis.shape[-1], hits.argmax(axis=-1))
+
+    def on_axis(self, ranks: np.ndarray) -> np.ndarray:
+        """The alternative at each row's place ``ranks`` on the axis."""
+        return _along(np.asarray(self.axis), ranks)
 
 
-def median_line_rule(profile: OrdinalProfile,
-                     voter_peaks: Sequence[int] | None = None) -> int:
-    """Lower median of the voters' peaks along the line axis.
-
-    Each voter contributes one peak (by default their top-ranked
-    alternative); peaks are sorted left to right and the ceil(v/2)-th one
-    (1-indexed) wins. Among alternatives, this choice minimizes the total
-    distance to the peak multiset.
-    """
-    ranks = axis_ranks(profile, voter_peaks if voter_peaks is not None
-                       else profile.tops, "median rule")
-    if not ranks.size:
-        raise EmptyVoterSet("median rule needs at least one peak")
-    return int(profile.line_axis[lower_median(ranks, ranks.size)])
-
-
-def axis_ranks(profile: OrdinalProfile, peaks: Sequence[int],
-               rule: str) -> np.ndarray:
-    """Each peak's place on the profile's line axis.
-
-    Raises MissingAxis when the profile has no axis and IndexOutOfRange for
-    a peak that is not on it; ``rule`` names the rule in the message.
-    """
-    if profile.line_axis is None:
-        raise MissingAxis(f"{rule} needs the line ordering of alternatives")
-    axis_rank = {alt: r for r, alt in enumerate(profile.line_axis)}
-    try:
-        return np.array([axis_rank[int(p)] for p in peaks])
-    except KeyError as exc:
-        raise IndexOutOfRange(f"peak {exc.args[0]} is not on the line axis") from exc
-
-
-def lower_median(ranks: np.ndarray, counts) -> np.ndarray:
-    """The lower median of the first ``counts`` axis ranks of each row.
-
-    Rows run along the last axis; entries past a row's count are pads that
-    rank above every real one, so they sort last.
-    """
-    middle = np.asarray((counts - 1) // 2)[..., None]
-    return np.take_along_axis(np.sort(ranks, axis=-1), middle, axis=-1)[..., 0]
-
-
-def dictator_rule(profile: OrdinalProfile, dictator_index: int = 0) -> int:
-    """Top choice of one fixed voter (default: the lowest agent id)."""
-    if profile.num_voters == 0:
-        raise EmptyVoterSet("dictator rule needs at least one voter")
-    return int(dictator_tops(profile.tops, profile.num_voters, dictator_index))
-
-
-def dictator_tops(tops: np.ndarray, counts, dictator_index: int) -> np.ndarray:
-    """Entry ``dictator_index`` of each row of the voters' top choices.
-
-    Rows run along the last axis and hold ``counts`` voters each.
-    """
-    if np.any((dictator_index < 0) | (counts <= dictator_index)):
-        raise IndexOutOfRange(
-            f"dictator index {dictator_index} out of range for "
-            f"{np.min(counts)} voters"
-        )
-    return tops[..., dictator_index]
+def _along(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Entry ``index`` of each row of ``values`` along the last axis."""
+    return values[np.indices(index.shape, sparse=True) + (index,)]
 
 
 def plurality_matching_rule(profile: OrdinalProfile) -> int:
@@ -200,9 +166,16 @@ class MedianLineRule:
     unanimous: ClassVar[bool] = True
     line_only: ClassVar[bool] = True
 
-    def select_ordinal(self, profile: OrdinalProfile,
-                       peaks: Sequence[int] | None = None) -> int:
-        return median_line_rule(profile, peaks)
+    @staticmethod
+    def pick(electorate: Electorate) -> np.ndarray:
+        """The peak at the lower median of each row's peaks along the axis,
+        the ceil(v/2)-th of v from the left. Among alternatives, it
+        minimizes the total distance to the peaks."""
+        ranks = electorate.ranks("median rule")
+        if not electorate.counts.all():
+            raise EmptyVoterSet("median rule needs at least one peak")
+        middle = (electorate.counts - 1) // 2
+        return electorate.on_axis(_along(np.sort(ranks, axis=-1), middle))
 
 
 @dataclass(frozen=True)
@@ -214,9 +187,10 @@ class PluralityMatchingRule:
     unanimous: ClassVar[bool] = True
     line_only: ClassVar[bool] = False
 
-    def select_ordinal(self, profile: OrdinalProfile,
-                       peaks: Sequence[int] | None = None) -> int:
-        return plurality_matching_rule(profile)
+    @staticmethod
+    def pick(electorate: Electorate) -> int:
+        """The matching winner of the electorate's one row of rankings."""
+        return plurality_matching_rule(electorate.profile())
 
 
 @dataclass(frozen=True)
@@ -233,9 +207,15 @@ class DictatorRule:
         return ("dictator" if self.dictator_index == 0
                 else f"dictator:{self.dictator_index}")
 
-    def select_ordinal(self, profile: OrdinalProfile,
-                       peaks: Sequence[int] | None = None) -> int:
-        return dictator_rule(profile, self.dictator_index)
+    def pick(self, electorate: Electorate) -> np.ndarray:
+        """Peak ``dictator_index`` of each row."""
+        index, counts = self.dictator_index, electorate.counts
+        if index < 0 or (counts <= index).any():
+            if not counts.all():
+                raise EmptyVoterSet("dictator rule needs at least one voter")
+            raise IndexOutOfRange(f"dictator index {index} out of range for "
+                                  f"{counts.min()} voters")
+        return electorate.peaks[..., index]
 
 
 def parse_direct_rule(token: str) -> object:

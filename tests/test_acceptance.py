@@ -221,7 +221,8 @@ def test_criterion_5_rule_level_distortion():
         costs = dv.cost_vector(inst, dv.AVG_AVG)
         best = float(costs.min())
         winner = dv.plurality_matching_rule(inst.profile())
-        opt = dv.optimal_rule(inst, range(inst.num_agents), dv.AVG)
+        opt = int(dv.OptimalRule(dv.AVG).pick(dv.district_aggregates(inst, dv.AVG),
+                                              None)[0])
         assert costs[opt] == pytest.approx(best, abs=EXACT)
         if best == 0.0:
             assert costs[winner] == 0.0
@@ -260,7 +261,7 @@ def test_criterion_5_rule_level_distortion():
         reps = [int(r) for r in rng.integers(0, m, k)]
         rows = inst.alternative_rankings()[np.array(reps)]
         profile = dv.OrdinalProfile(rows, inst.line_axis())
-        winner = dv.median_line_rule(profile, reps)
+        winner = dv.MedianLineRule.pick(dv.Electorate.of(profile, reps))
         totals = inst.alt_alt[np.array(reps)].sum(axis=0)
         assert totals[winner] == pytest.approx(float(totals.min()), abs=EXACT)
 

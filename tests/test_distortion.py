@@ -567,12 +567,30 @@ def reference_select_cardinal(rule, dist, candidates, positions):
     return int(candidates[rule.pick(values, positions)])
 
 
+def reference_ordinal(rule, rows, peaks, positions):
+    """Test-only oracle: an ordinal rule's choice spelled out, from one
+    electorate's rankings, its peaks and the alternatives' line positions."""
+    def on_axis(a):
+        return (positions[a], a)
+    if isinstance(rule, dv.PluralityMatchingRule):
+        return dv.plurality_matching_rule(dv.OrdinalProfile(rows))
+    if isinstance(rule, dv.DictatorRule):
+        return int(peaks[rule.dictator_index])
+    if isinstance(rule, dv.ArbitraryOverRule):
+        return int(peaks[rule.index])
+    if isinstance(rule, dv.LeftmostRepRule):
+        return int(min(peaks, key=on_axis))
+    assert isinstance(rule, dv.MedianLineRule)
+    return int(sorted(peaks, key=on_axis)[(len(peaks) - 1) // 2])
+
+
 def reference_run(mechanism, instance):
     """Test-only oracle: the two-step run with nothing shared or cached.
 
     Every district's representative comes from its own distance block or
     from rankings sorted afresh from its own distances; the over step is
-    spelled out. Returns the representatives and the winner.
+    spelled out, and no rule object's decision is called for an ordinal
+    step. Returns the representatives and the winner.
     """
     in_rule, over = mechanism.in_rule, mechanism.over_rule
     everyone = np.arange(instance.num_alternatives)
@@ -587,8 +605,7 @@ def reference_run(mechanism, instance):
         else:
             # exact distance ties rank the lower alternative id first
             rows = np.argsort(block, axis=1, kind="stable")
-            reps.append(in_rule.select_ordinal(dv.OrdinalProfile(
-                rows, instance.line_axis())))
+            reps.append(reference_ordinal(in_rule, rows, rows[:, 0], positions))
     reps = tuple(int(r) for r in reps)
     if len(reps) == 1:
         return reps, reps[0]
@@ -602,10 +619,7 @@ def reference_run(mechanism, instance):
     else:
         rows = np.argsort(instance.alt_alt[list(reps)], axis=1, kind="stable")
         rows = rows[np.isin(rows, candidates)].reshape(len(reps), candidates.size)
-        axis = instance.line_axis()
-        if axis is not None:
-            axis = tuple(a for a in axis if a in set(candidates.tolist()))
-        winner = over.select_ordinal(dv.OrdinalProfile(rows, axis), reps)
+        winner = reference_ordinal(over, rows, reps, positions)
     return reps, int(winner)
 
 
@@ -804,13 +818,6 @@ def test_hill_climb_rebuilds_match_the_public_builder():
     assert not witness.agent_points.flags.writeable
 
 
-def test_hill_climb_rejects_nonfinite_perturbations(worked):
-    mech = make("compose:optimal,optimal", "avg.avg")
-    objective = dv.parse_objective("avg.avg")
-    with pytest.raises(ValueError, match="finite"):
-        dv.hill_climb(mech, objective, worked, steps=5, step_size=math.inf)
-
-
 def test_hill_climb_rejects_negative_steps(worked):
     mech = make("compose:optimal,optimal", "avg.avg")
     objective = dv.parse_objective("avg.avg")
@@ -826,7 +833,7 @@ def test_hill_climb_rejects_patience_below_one(worked, patience):
         dv.hill_climb(mech, objective, worked, steps=20, patience=patience)
 
 
-@pytest.mark.parametrize("step_size", [math.nan, -math.inf, -0.05])
+@pytest.mark.parametrize("step_size", [math.nan, -math.inf, -0.05, math.inf, 1e308])
 def test_hill_climb_rejects_bad_step_size_before_any_draw(worked, step_size):
     mech = make("compose:optimal,optimal", "avg.avg")
     objective = dv.parse_objective("avg.avg")
@@ -852,6 +859,9 @@ def reference_hill_climb(mechanism, objective, init, steps=2000, step_size=0.05,
     Each move is rebuilt into its own instance and evaluated alone; a move or
     restart with a coordinate or distance that is not finite raises.
     """
+    if not (step_size >= 0 and math.isfinite(step_size * 10)):
+        raise ValueError(f"step_size {step_size} must be nonnegative, "
+                         "with step_size * 10 finite")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
 
     def build(agents, alts):
@@ -958,7 +968,7 @@ def test_hill_climb_matches_one_move_at_a_time(panel_cell):
 def _check_first_raise(mechanism, objective, init, **kwargs):
     """Climbs of 0, 1, 2, ... steps match the one-move oracle up to the first
     that raises, which must raise the oracle's error. Returns its steps."""
-    for steps in range(200):
+    for steps in range(300):
         expected = _climb_outcome(reference_hill_climb, mechanism, objective,
                                   init, steps=steps, **kwargs)
         assert _climb_outcome(dv.hill_climb, mechanism, objective, init,
@@ -972,10 +982,11 @@ def _check_first_raise(mechanism, objective, init, **kwargs):
 @pytest.mark.parametrize("panel_cell", [CLIMB_PANEL[0], CLIMB_PANEL[-1]], ids=" ".join)
 @pytest.mark.parametrize("patience", [3, 250])
 def test_hill_climb_raises_where_one_move_at_a_time_does(worked, panel_cell, patience):
-    # a step of 1e308 overflows a coordinate within a few moves, and a
-    # restart's kick of 1e309 at once
+    # near the largest valid step: no move of 1.7e307 overflows here, but
+    # the first restart's kick, of scale 1.7e308, does; at patience 250 the
+    # restart cuts short a doubled block (16 + 32 + 64 + 128 moves, then 10)
     (mechanism, objective), = _cells([panel_cell])
-    assert _check_first_raise(mechanism, objective, worked, step_size=1e308,
+    assert _check_first_raise(mechanism, objective, worked, step_size=1.7e307,
                               seed=5, patience=patience) > 0
 
 

@@ -160,60 +160,52 @@ def _line_profile(alt_positions, peaks):
     return inst.profile()
 
 
+def _median(profile, peaks=None):
+    return dv.MedianLineRule.pick(dv.Electorate.of(profile, peaks))
+
+
 def test_median_lower_of_odd_peaks():
     profile = _line_profile([0.0, 1.0, 3.0], [0, 0, 2])
-    assert dv.median_line_rule(profile) == 0
+    assert _median(profile) == 0
 
 
 def test_median_lower_of_even_peaks():
     profile = _line_profile([0.0, 1.0, 3.0], [0, 2])
-    assert dv.median_line_rule(profile) == 0
+    assert _median(profile) == 0
     profile = _line_profile([0.0, 1.0, 3.0], [2, 2, 0, 0])
-    assert dv.median_line_rule(profile) == 0
+    assert _median(profile) == 0
 
 
 def test_median_uses_axis_not_ids():
     # id 0 sits right of id 1 on the axis
     profile = _line_profile([3.0, 1.0], [0, 1, 1])
-    assert dv.median_line_rule(profile) == 1
+    assert _median(profile) == 1
 
 
 def test_median_explicit_peaks_override(worked):
     profile = worked.profile()
-    assert dv.median_line_rule(profile, [1, 1, 0]) == 1
-
-
-def test_median_requires_axis():
-    profile = dv.OrdinalProfile([[0, 1]])
-    with pytest.raises(dv.MissingAxis):
-        dv.median_line_rule(profile)
-
-
-def test_median_rejects_off_axis_peak(worked):
-    with pytest.raises(dv.IndexOutOfRange):
-        dv.median_line_rule(worked.profile(), [0, 5])
-
-
-def test_leftmost_rejects_off_axis_peak(worked):
-    with pytest.raises(dv.IndexOutOfRange):
-        dv.LeftmostRepRule().select_ordinal(worked.profile(), [0, 5])
-
-
-def test_median_empty():
-    profile = _line_profile([0.0, 1.0], [0])
-    with pytest.raises(dv.EmptyVoterSet):
-        dv.median_line_rule(profile, [])
+    assert _median(profile, [1, 1, 0]) == 1
 
 
 @settings(max_examples=120, deadline=None)
 @given(line_instances(max_agents=9, max_alternatives=5))
 def test_median_minimizes_total_peak_distance(inst):
     profile = inst.profile()
-    winner = dv.median_line_rule(profile)
+    winner = _median(profile)
     alt_pos = inst.alternative_points
     peak_pos = alt_pos[profile.tops]
     totals = np.abs(peak_pos[:, None] - alt_pos[None, :]).sum(axis=0)
     assert totals[winner] <= totals.min() + 1e-9
+
+
+def test_picks_decide_each_row_of_a_block():
+    # two rows over an axis each; pads past a row's count never decide
+    electorate = dv.Electorate(np.array([[2, 0, 1], [1, 0, 0]]), np.array([3, 1]),
+                               np.array([[1, 2, 0], [0, 1, 2]]))
+    assert dv.MedianLineRule.pick(electorate).tolist() == [2, 1]
+    assert dv.LeftmostRepRule.pick(electorate).tolist() == [1, 1]
+    assert dv.DictatorRule(0).pick(electorate).tolist() == [2, 1]
+    assert dv.ArbitraryOverRule(0).pick(electorate).tolist() == [2, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -221,46 +213,79 @@ def test_median_minimizes_total_peak_distance(inst):
 # ---------------------------------------------------------------------------
 
 def test_dictator_returns_top(worked):
-    profile = worked.profile()
-    assert dv.dictator_rule(profile) == 0
-    assert dv.dictator_rule(profile, 2) == 1
+    electorate = dv.Electorate.of(worked.profile())
+    assert dv.DictatorRule().pick(electorate) == 0
+    assert dv.DictatorRule(2).pick(electorate) == 1
 
 
-def test_dictator_bad_index(worked):
-    with pytest.raises(dv.IndexOutOfRange):
-        dv.dictator_rule(worked.profile(), 3)
-    with pytest.raises(dv.IndexOutOfRange):
-        dv.dictator_rule(worked.profile(), -1)
+# ---------------------------------------------------------------------------
+# errors raised from the picks
+# ---------------------------------------------------------------------------
+
+#: (rule, profile, peaks, error, message); "worked" is the worked instance's
+#: profile, "no axis" an off-line profile and "no voters" an empty one.
+PICK_ERRORS = [
+    pytest.param(dv.MedianLineRule(), "no axis", None, dv.MissingAxis,
+                 "median rule needs the line ordering of alternatives",
+                 id="median-missing-axis"),
+    pytest.param(dv.LeftmostRepRule(), "no axis", [0], dv.MissingAxis,
+                 "leftmost rule needs the line ordering of alternatives",
+                 id="leftmost-missing-axis"),
+    pytest.param(dv.MedianLineRule(), "worked", [0, 5], dv.IndexOutOfRange,
+                 "peak 5 is not on the line axis", id="median-off-axis"),
+    pytest.param(dv.LeftmostRepRule(), "worked", [0, 5], dv.IndexOutOfRange,
+                 "peak 5 is not on the line axis", id="leftmost-off-axis"),
+    pytest.param(dv.MedianLineRule(), "worked", [], dv.EmptyVoterSet,
+                 "median rule needs at least one peak", id="median-empty"),
+    pytest.param(dv.LeftmostRepRule(), "worked", [], dv.EmptyVoterSet,
+                 "leftmost rule needs representatives", id="leftmost-empty"),
+    pytest.param(dv.DictatorRule(), "no voters", None, dv.EmptyVoterSet,
+                 "dictator rule needs at least one voter", id="dictator-empty"),
+    pytest.param(dv.DictatorRule(3), "worked", None, dv.IndexOutOfRange,
+                 "dictator index 3 out of range for 3 voters",
+                 id="dictator-index-past-end"),
+    pytest.param(dv.DictatorRule(-1), "worked", None, dv.IndexOutOfRange,
+                 "dictator index -1 out of range for 3 voters",
+                 id="dictator-index-negative"),
+    pytest.param(dv.ArbitraryOverRule(), "worked", [], dv.EmptyVoterSet,
+                 "arbitrary over rule needs representatives", id="arbitrary-empty"),
+    pytest.param(dv.ArbitraryOverRule(2), "worked", [0, 1], dv.IndexOutOfRange,
+                 "district index 2 out of range for 2 districts",
+                 id="arbitrary-index-past-end"),
+    pytest.param(dv.PluralityMatchingRule(), "no voters", None, dv.EmptyVoterSet,
+                 "plurality matching needs at least one voter",
+                 id="plurality-matching-empty"),
+]
 
 
-def test_dictator_empty():
-    with pytest.raises(dv.EmptyVoterSet):
-        dv.dictator_rule(dv.OrdinalProfile(np.empty((0, 2), dtype=int)))
+@pytest.mark.parametrize("rule, profile, peaks, error, message", PICK_ERRORS)
+def test_pick_errors(worked, rule, profile, peaks, error, message):
+    profile = {"worked": worked.profile(),
+               "no axis": dv.OrdinalProfile([[0, 1]]),
+               "no voters": dv.OrdinalProfile(np.empty((0, 2), dtype=int))}[profile]
+    with pytest.raises(error) as raised:
+        rule.pick(dv.Electorate.of(profile, peaks))
+    assert str(raised.value) == message
 
 
 # ---------------------------------------------------------------------------
 # the exact-minimizer rule
 # ---------------------------------------------------------------------------
 
+def _optimal(instance, inner):
+    """The optimal rule's pick for each district of the instance."""
+    return dv.OptimalRule(inner).pick(dv.district_aggregates(instance, inner),
+                                      None).tolist()
+
+
 def test_optimal_rule_worked(worked):
-    assert dv.optimal_rule(worked, [0, 1], dv.MAX) == 0
-    assert dv.optimal_rule(worked, [0, 1], dv.AVG) == 0
-    assert dv.optimal_rule(worked, [2], dv.AVG) == 1
+    assert _optimal(worked, dv.MAX)[0] == 0
+    assert _optimal(worked, dv.AVG) == [0, 1]
 
 
 def test_optimal_rule_tie_to_lowest_id():
     inst = dv.build_line_instance([[1.0]], [0.5, 1.5])
-    assert dv.optimal_rule(inst, [0], dv.AVG) == 0
-
-
-def test_optimal_rule_empty(worked):
-    with pytest.raises(dv.EmptyVoterSet):
-        dv.optimal_rule(worked, [], dv.AVG)
-
-
-def test_optimal_rule_bad_voter(worked):
-    with pytest.raises(dv.IndexOutOfRange):
-        dv.optimal_rule(worked, [5], dv.AVG)
+    assert _optimal(inst, dv.AVG) == [0]
 
 
 @settings(max_examples=100, deadline=None)
@@ -268,9 +293,8 @@ def test_optimal_rule_bad_voter(worked):
 def test_optimal_rule_matches_exhaustive_optimum(inst):
     for inner_spec in ("avg", "max"):
         inner = dv.parse_inner(inner_spec)
-        pick = dv.optimal_rule(inst, range(inst.num_agents), inner)
         objective = dv.parse_objective(f"avg.{inner_spec}")
-        assert pick == dv.optimal_alternative(inst, objective)[0]
+        assert _optimal(inst, inner) == [dv.optimal_alternative(inst, objective)[0]]
 
 
 # ---------------------------------------------------------------------------
